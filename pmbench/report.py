@@ -55,8 +55,7 @@ def summarize(samples):
 
 def workload_summary(runs, traced, spec):
     """Trajectory entry for one workload from its run documents."""
-    entry = {"runs": runs, "traced": traced,
-             "attempted": sum(r["attempted"] for r in runs + traced),
+    entry = {"attempted": sum(r["attempted"] for r in runs + traced),
              "failed": sum(r["failed"] for r in runs + traced),
              "correct": all(r["correct"] for r in runs + traced)}
     for section, docs in (("end_to_end", runs), ("per_layer", traced)):
@@ -80,8 +79,9 @@ def _spread(summary):
 def judge(base, cand, bound, better):
     """One metric's verdict: better, same, worse or unresolved.
 
-    * better: the candidate wins at least 9 of 10 run pairs and its
-      median is better by more than the baseline's quartile spread;
+    * better: over at least ten (candidate, baseline) run pairs, the
+      candidate wins at least 9 of 10 and its median is better by more
+      than the baseline's quartile spread;
     * unresolved: either side's quartile spread is wider than the
       bound, unless every candidate run beats every baseline run;
     * worse: the median is worse by more than the bound.
@@ -92,10 +92,9 @@ def judge(base, cand, bound, better):
     pairs = [sign * (c - b) for c in cand["samples"]
              for b in base["samples"]]
     wins = sum(1 for p in pairs if p > 0) / len(pairs)
-    beats_all = min(pairs) > 0
-    if (wins >= 0.9 or beats_all) and change > _spread(base):
+    if len(pairs) >= 10 and wins >= 0.9 and change > _spread(base):
         return "better", change
-    if max(_spread(base), _spread(cand)) > bound:
+    if max(_spread(base), _spread(cand)) > bound and min(pairs) <= 0:
         return "unresolved", change
     if -change > bound:
         return "worse", change

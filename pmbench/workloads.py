@@ -94,7 +94,7 @@ class Unit:
         self.problems = []
         #: Campaign fingerprints (fuzz) or per-record verdicts (validate).
         self.fingerprint = ()
-        #: Verdict of every kept record, keyed by dedup key.
+        #: Sorted (dedup key, verdict) of every kept record.
         self.verdicts = ()
         self.steps = 0
         self.campaigns = 0
