@@ -11,6 +11,8 @@ import statistics
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPEC_PATH = os.path.join(ROOT, "BENCHMARK.json")
+#: Trajectory settings that must match before two trajectories compare.
+COMPARED_SETTINGS = ("seed", "seconds", "runs")
 
 
 def load_spec(path=SPEC_PATH):
@@ -105,9 +107,17 @@ def compare(baseline, candidate):
     """Rows ``(workload, metric, verdict, change)`` plus failures.
 
     A failure is any ``worse`` metric, a rise in the failed share or an
-    incorrect candidate run.
+    incorrect candidate run.  Trajectories measured with a different
+    seed, window or number of runs are not compared: that is a failure
+    too, with no rows.
     """
     rows, failures = [], []
+    for key in COMPARED_SETTINGS:
+        if baseline.get(key) != candidate.get(key):
+            failures.append("baseline %s is %r, this run's is %r" % (
+                key, baseline.get(key), candidate.get(key)))
+    if failures:
+        return rows, failures
     for workload, cand in sorted(candidate["workloads"].items()):
         base = baseline["workloads"].get(workload)
         if base is None:

@@ -10,8 +10,8 @@ standard output, one JSON object ``{"correct", "attempted", "failed",
 metrics with ``--trace 1``.  It exits 1 when a correctness check fails.
 
 The suite (any other use) runs each workload in its own child process,
-one at a time, ``--runs`` untraced plus ``--traced-runs`` traced runs
-at one seed, and writes the trajectory ``results/BENCH_<git sha>.json``::
+one at a time, ``--runs`` untraced runs plus one traced run at one
+seed, and writes the trajectory ``results/BENCH_<git sha>.json``::
 
     python3 pmbench/run.py --runs 5 [--workload W ...] [--check BASE.json]
 
@@ -27,11 +27,15 @@ import platform
 import subprocess
 import sys
 
+import report
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 RESULTS = os.path.join(HERE, "results")
 WORKLOADS = ("pclht", "memcached", "pmring", "validate")
+#: Traced runs per workload in a suite.
+TRACED_RUNS = 1
 
 
 def parse_args(argv):
@@ -39,19 +43,20 @@ def parse_args(argv):
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="workload to run (repeatable; default: all)")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=int, default=15,
-                        help="measuring window of one run")
+    parser.add_argument("--seconds", type=int,
+                        help="measuring window of one run (default: "
+                        "BENCHMARK.json's run_seconds)")
     parser.add_argument("--trace", type=int, nargs="?", const=1, default=0,
                         choices=(0, 1), help="1: traced per-layer run")
     parser.add_argument("--runs", type=int,
                         help="suite: untraced runs per workload (default 5)")
-    parser.add_argument("--traced-runs", type=int, default=1,
-                        help="suite: traced runs per workload")
     parser.add_argument("--out", help="suite: trajectory path (default: "
                         "results/BENCH_<short git sha>.json)")
     parser.add_argument("--check", metavar="BASELINE",
                         help="suite: compare with a baseline trajectory")
     args = parser.parse_args(argv)
+    if args.seconds is None:
+        args.seconds = report.load_spec()["run_seconds"]
     args.suite = not (args.workload and len(args.workload) == 1
                       and args.runs is None and args.out is None
                       and args.check is None)
@@ -105,7 +110,6 @@ def run_one(args):
         print("cannot import the program under test: %s" % exc,
               file=sys.stderr)
         return 2
-    import report
     import workloads
 
     spec = report.load_spec()
@@ -166,9 +170,6 @@ def child_run(workload, seed, seconds, trace):
 
 
 def run_suite(args):
-    sys.path.insert(0, HERE)
-    import report
-
     spec = report.load_spec()
     sha = _git("rev-parse", "HEAD")
     dirty = _git("status", "--porcelain", "--", "src")
@@ -183,12 +184,12 @@ def run_suite(args):
         "seed": args.seed,
         "seconds": args.seconds,
         "runs": runs,
-        "traced_runs": args.traced_runs,
+        "traced_runs": TRACED_RUNS,
         "workloads": {},
     }
     for workload in args.workload or WORKLOADS:
         docs, traced = [], []
-        for index in range(runs + args.traced_runs):
+        for index in range(runs + TRACED_RUNS):
             trace = int(index >= runs)
             doc = child_run(workload, args.seed, args.seconds, trace)
             (traced if trace else docs).append(doc)

@@ -116,7 +116,8 @@ def _trajectory(scale=1.0):
             metrics[entry["name"]] = {"value": value, "unit": entry["unit"]}
         runs.append({"correct": True, "attempted": 100, "failed": 0,
                      "metrics": metrics})
-    return {"workloads": {"pmring": report.workload_summary(runs, [], spec)}}
+    return {"seed": 7, "seconds": spec["run_seconds"], "runs": len(runs),
+            "workloads": {"pmring": report.workload_summary(runs, [], spec)}}
 
 
 def test_check_passes_an_identical_copy():
@@ -129,13 +130,21 @@ def test_check_passes_an_identical_copy():
 def test_check_flags_a_twenty_percent_regression():
     rows, failures = report.compare(_trajectory(), _trajectory(scale=1.2))
     verdicts = {metric: verdict for _w, metric, verdict, _c in rows}
-    for entry in report.load_spec()["end_to_end"]:
-        if entry["name"] == "bugs_per_session":
-            continue
-        worse_by = 0.2 if entry["better"] == "lower" else 1 - 1 / 1.2
-        expected = "worse" if worse_by > entry["bound"] else "same"
-        assert verdicts[entry["name"]] == expected, entry
-    assert "worse" in verdicts.values() and failures
+    moved = [entry["name"] for entry in report.load_spec()["end_to_end"]
+             if entry["name"] != "bugs_per_session"]
+    assert {name: verdicts[name] for name in moved} == dict.fromkeys(
+        moved, "worse")
+    assert len(failures) == len(moved)
+
+
+@pytest.mark.parametrize("key", report.COMPARED_SETTINGS)
+def test_check_refuses_a_baseline_with_other_settings(key):
+    base = _trajectory()
+    cand = copy.deepcopy(base)
+    cand[key] += 1
+    rows, failures = report.compare(base, cand)
+    assert not rows
+    assert failures and key in failures[0]
 
 
 def test_check_flags_a_rise_in_failed_share():

@@ -11,14 +11,18 @@ completion, so every unit is deterministic in the workload seed.
 * ``validate``: a unit is one pass over the checked-in fixture
   (:mod:`make_fixture`): a fresh cold-cache validation queue per target,
   the fixture's records enqueued in an order shuffled by
-  ``Random(S + pass)``, then drained.  An *exec* is one recovery replay.
+  ``Random(S + pass)``, then drained.  An *exec* is one pass: the
+  replays alone fall into a fast and a slow cluster of nearly equal
+  size, so their median sat in the gap and jumped between runs.
 
 With tracing on, every unit runs twice, untraced and then traced, and
 the two must produce identical fingerprints; per-layer numbers come from
 the traced twins only.
 
-End-to-end times are scaled to a reference host speed
-(:mod:`hostspeed`): the reference loop runs before and after every unit.
+End-to-end times are scaled to a reference host speed: an untraced
+fuzzing session keeps a :class:`hostspeed.ScaledClock` that re-times the
+reference loop between campaigns; a validate pass is short enough to
+take the loops at its two ends.
 """
 
 import hashlib
@@ -60,19 +64,21 @@ class FuzzWorkload:
         self.max_seeds = max_seeds
 
 
-#: Session sizes are short enough that a run spans many base seeds,
-#: which keeps run-to-run spread across workload seeds small.
+#: Sessions are as long as the fuzzer is run to find every catalogued
+#: bug: P-CLHT and memcached-pmem at the bug-matrix pin (70 campaigns,
+#: 16 seeds), so evolved seeds, the corpus and the priority queue get
+#: the share of the work they get in use.
 FUZZ_WORKLOADS = {
     # The paper's headline target: spin-heavy locks, sync-point stalls,
     # all five bug classes; scheduler handoff does the most work here.
-    "pclht": FuzzWorkload("P-CLHT", campaigns=10, max_seeds=16),
+    "pclht": FuzzWorkload("P-CLHT", campaigns=70, max_seeds=16),
     # Costliest step, most records, taint flows and annotations: detect
     # and taint do the most work; a 2 KiB pool makes crash images cheap.
-    "memcached": FuzzWorkload("memcached-pmem", campaigns=10,
+    "memcached": FuzzWorkload("memcached-pmem", campaigns=70,
                                max_seeds=16),
     # Short campaigns: per-campaign fixed costs (thread start and join,
     # provide(), harvest, coverage merge, corpus) dominate.
-    "pmring": FuzzWorkload("pmring", campaigns=100, max_seeds=60),
+    "pmring": FuzzWorkload("pmring", campaigns=400, max_seeds=60),
 }
 WORKLOADS = tuple(FUZZ_WORKLOADS) + ("validate",)
 
@@ -81,12 +87,14 @@ class Unit:
     """What one unit produced; small enough to keep for a whole run."""
 
     def __init__(self):
+        #: Scaled times of every exec and of the set-up, and the scaled
+        #: time the unit took (untraced units).
         self.exec_s = []
-        #: Multiplier taking this unit's times to reference host speed.
-        self.scale = 1.0
+        self.setup_s = None
+        self.busy_s = None
         #: Peak RSS of the process the unit ran in (untraced units).
         self.peak_rss_mb = None
-        self.setup_s = None
+        #: Unscaled time the unit took.
         self.wall_s = 0.0
         self.attempted = 0
         self.failed = 0
@@ -128,12 +136,15 @@ def campaign_fingerprint(campaign):
 class _CampaignProbe:
     """Times every ``run_campaign`` call the engine makes and keeps its
     fingerprint; the campaign result itself (crash images included) is
-    dropped.  Patches the engine module's name, restored on exit."""
+    dropped.  Patches the engine module's name, restored on exit.
 
-    def __init__(self, unit, timeline):
+    Untraced, times go to ``clock``, which may re-time the reference
+    loop before a campaign; traced, events go to ``timeline``."""
+
+    def __init__(self, unit, timeline, clock):
         self.unit = unit
         self.timeline = timeline
-        self.first_start = None
+        self.clock = clock
         self.fingerprints = []
 
     def __enter__(self):
@@ -146,15 +157,19 @@ class _CampaignProbe:
         return False
 
     def _run_campaign(self, *args, **kwargs):
+        clock = self.clock
+        if clock is not None:
+            if not self.fingerprints:
+                clock.add("setup", time.perf_counter() - clock.start)
+            clock.tick()
         start = time.perf_counter()
         campaign = self._original(*args, **kwargs)
         end = time.perf_counter()
         if self.timeline is not None:
             self.timeline.enter(layertrace.HARNESS)
-        if self.first_start is None:
-            self.first_start = start
+        if clock is not None:
+            clock.add("exec", end - start)
         unit = self.unit
-        unit.exec_s.append(end - start)
         fingerprint = campaign_fingerprint(campaign)
         self.fingerprints.append(fingerprint)
         unit.steps += campaign.outcome.steps
@@ -169,23 +184,31 @@ class _CampaignProbe:
 
 
 def fuzz_session(spec, base_seed, campaigns, timeline=None):
-    """One fuzzing session as a :class:`Unit`."""
+    """One fuzzing session as a :class:`Unit`; untraced when no
+    ``timeline`` is given."""
     unit = Unit()
     bugs = expected_bugs_for(spec.target)
+    clock = hostspeed.ScaledClock() if timeline is None else None
     start = time.perf_counter()
-    with _CampaignProbe(unit, timeline) as probe:
+    with _CampaignProbe(unit, timeline, clock) as probe:
         fuzzer = PMRace(make_target(spec.target), PMRaceConfig(
             max_campaigns=campaigns, max_seeds=spec.max_seeds,
             base_seed=base_seed))
-        if timeline is None:
+        if clock is not None:
             result = fuzzer.run()
+            clock.close()
         else:
             with layertrace.Patch(timeline):
                 timeline.begin()
                 result = fuzzer.run()
                 timeline.finish()
-    unit.wall_s = time.perf_counter() - start
-    unit.setup_s = (probe.first_start or start) - start
+    if clock is None:
+        unit.wall_s = time.perf_counter() - start
+    else:
+        unit.wall_s = clock.raw_s
+        unit.exec_s = clock.scaled["exec"]
+        unit.setup_s, = clock.scaled["setup"]
+        unit.busy_s = clock.busy_s
     unit.fingerprint = tuple(probe.fingerprints)
     kept = list(result.inconsistencies) + list(result.sync_inconsistencies)
     unit.verdicts = tuple(sorted((repr(r.dedup_key()), r.verdict.value)
@@ -225,7 +248,7 @@ class FuzzRunner:
 
     def setup_seconds(self, units):
         """Scaled set-up time of every session."""
-        return [unit.setup_s * unit.scale for unit in units]
+        return [unit.setup_s for unit in units]
 
     def recheck(self, seed, first):
         """Replay the first campaigns of session 0; they must match."""
@@ -238,8 +261,8 @@ class FuzzRunner:
 
 
 class _ReplayProbe:
-    """Times ``PostFailureValidator.replay`` and counts retried replays;
-    the class attribute is restored on exit."""
+    """Counts retried ``PostFailureValidator.replay`` calls; the class
+    attribute is restored on exit."""
 
     def __init__(self, unit):
         self.unit = unit
@@ -249,9 +272,7 @@ class _ReplayProbe:
         original, unit = self._original, self.unit
 
         def replay(validator, image):
-            start = time.perf_counter()
             result = original(validator, image)
-            unit.exec_s.append(time.perf_counter() - start)
             unit.failed += bool(result.retried)
             return result
 
@@ -283,6 +304,7 @@ class ValidateRunner:
         random.Random(seed + index).shuffle(order)
         for _doc, record in self.entries:
             record.verdict, record.note = Verdict.PENDING, ""
+        before = hostspeed.reference_s() if timeline is None else None
         start = time.perf_counter()
         with _ReplayProbe(unit):
             queues = {name: make_validation_queue(name)
@@ -300,6 +322,11 @@ class ValidateRunner:
                         queue.drain()
                     timeline.finish()
         unit.wall_s = time.perf_counter() - start
+        if timeline is None:
+            # A pass lasts about 0.1 s: one scale factor fits all of it.
+            unit.busy_s = hostspeed.scaled(unit.wall_s, before,
+                                           hostspeed.reference_s())
+            unit.exec_s = [unit.busy_s]
         unit.attempted = len(self.entries)
         for doc, record in self.entries:
             unit.failed += record.verdict is Verdict.PENDING
@@ -407,9 +434,8 @@ class RunReport:
 
     def end_to_end(self):
         """End-to-end metrics, times scaled to reference host speed."""
-        execs = [seconds * unit.scale
-                 for unit in self.plain for seconds in unit.exec_s]
-        busy = sum(unit.wall_s * unit.scale for unit in self.plain)
+        execs = [seconds for unit in self.plain for seconds in unit.exec_s]
+        busy = sum(unit.busy_s for unit in self.plain)
         setup = statistics.median(self.import_s) + statistics.median(
             self.runner.setup_seconds(self.plain))
         return {
@@ -417,7 +443,7 @@ class RunReport:
             "exec_ms.p50": statistics.median(execs) * 1e3,
             "exec_ms.p90": statistics.quantiles(execs, n=10)[-1] * 1e3,
             "setup_s": setup,
-            "peak_rss_mb": statistics.median(
+            "peak_rss_mb": statistics.mean(
                 unit.peak_rss_mb for unit in self.plain),
             "bugs_per_session": statistics.mean(
                 len(unit.convicted) for unit in self.plain),
@@ -521,16 +547,12 @@ def run(name, seed, seconds, trace=False, units=None, campaigns=None,
         calibration = layertrace.calibrate()
         timeline = layertrace.Timeline()
     plain, traced, problems = [], [], []
-    probe = hostspeed.reference_s()
     start = time.perf_counter()
     while True:
         index = len(plain)
         for tracing in (False, True) if trace else (False,):
             unit = runner.unit(seed, index, timeline) if tracing \
                 else runner.plain_unit(seed, index)
-            after = hostspeed.reference_s()
-            unit.scale = hostspeed.scaled(1.0, probe, after)
-            probe = after
             problems.extend(unit.problems)
             (traced if tracing else plain).append(unit)
         if trace:
