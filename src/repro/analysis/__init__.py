@@ -1,15 +1,13 @@
-"""Static PM-misuse analysis (pmlint) and the fuzzer-hint bridge.
+"""Static PM-misuse analysis (pmlint).
 
 The analyzer never imports or executes target code; it parses modules
 with :mod:`ast`, lowers each function to a small CFG, and runs five
 ordering/flush rules (PM01–PM05, see ``docs/LINT_RULES.md``).  Findings
 address code with the same ``module:function:line`` strings the runtime
-uses, so whitelist suppression and priority-queue pre-seeding share one
-key space with dynamic detection.
+uses, so whitelist suppression shares one key space with dynamic
+detection.
 """
 
-from .hints import (StaticHint, collect_hints_for_target,
-                    hints_from_report, seed_queue_with_hints)
 from .pmlint import (LintReport, RULE_SUMMARIES, lint_builtin_targets,
                      lint_file, lint_source, lint_target,
                      load_builtin_whitelist)
@@ -19,13 +17,9 @@ __all__ = [
     "Finding",
     "LintReport",
     "RULE_SUMMARIES",
-    "StaticHint",
-    "collect_hints_for_target",
-    "hints_from_report",
     "lint_builtin_targets",
     "lint_file",
     "lint_source",
     "lint_target",
     "load_builtin_whitelist",
-    "seed_queue_with_hints",
 ]

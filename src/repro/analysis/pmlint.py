@@ -41,21 +41,15 @@ class LintReport:
     Attributes:
         findings: Unsuppressed findings, source order.
         suppressed: Findings removed by the whitelist.
-        loads / stores: Every statically visible load/store-ish event
-            (the hints bridge pairs these into reader/writer sites).
     """
 
     def __init__(self):
         self.findings = []
         self.suppressed = []
-        self.loads = []
-        self.stores = []
 
     def extend(self, other):
         self.findings.extend(other.findings)
         self.suppressed.extend(other.suppressed)
-        self.loads.extend(other.loads)
-        self.stores.extend(other.stores)
 
     @property
     def ok(self):
@@ -112,12 +106,6 @@ def lint_source(source, module_name, whitelist=None, sync_names=()):
     tree = ast.parse(source)
     cfgs, _consts = build_cfgs(tree, module_name)
     report = LintReport()
-    for cfg in cfgs:
-        for event in cfg.events():
-            if event.kind == "load":
-                report.loads.append(event)
-            elif event.kind in ("store", "cas", "ntstore"):
-                report.stores.append(event)
     for finding in _run_rules(cfgs, tree, sync_names):
         if whitelist is not None and \
                 whitelist.matches_location(finding.instr_id):

@@ -25,8 +25,8 @@ class Finding:
 
     ``instr_id`` is the ``module:function:line`` string the runtime
     :class:`~repro.instrument.callsite.CallSiteTable` would resolve for
-    the same call site, so whitelist suppressions and fuzzer hints use
-    the identical key space as dynamic reports.
+    the same call site, so whitelist suppressions use the identical key
+    space as dynamic reports.
     """
 
     __slots__ = ("rule", "instr_id", "module", "function", "line",

@@ -84,10 +84,6 @@ def _add_fuzz_options(parser, parallel_flag=True, session_flag=False):
                         help="simulate an eADR platform (§6.6)")
     parser.add_argument("--whitelist", metavar="FILE",
                         help="extra whitelist entries (one per line)")
-    parser.add_argument("--static-hints", action="store_true",
-                        dest="static_hints",
-                        help="pre-seed the priority queue with pmlint's "
-                             "static findings (see `repro lint`)")
     if parallel_flag:
         parser.add_argument("--parallel", type=int, metavar="N", default=0,
                             help="fuzz with N worker processes (§5)")
@@ -125,7 +121,6 @@ def _make_config(args):
     return PMRaceConfig(mode=args.mode, n_threads=args.threads,
                         max_campaigns=args.campaigns, max_seeds=20,
                         whitelist=whitelist, eadr=args.eadr,
-                        static_hints=getattr(args, "static_hints", False),
                         capture_repro=bool(getattr(args, "repro_dir",
                                                    None)),
                         corpus_schedule=getattr(args, "corpus_schedule",

@@ -55,10 +55,10 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
         policy: Scheduling policy instance (already seeded).
         entry: Optional SharedAccessEntry enabling sync-point scheduling.
             Entries carry *interned* instruction ids from the run's
-            CallSiteTable — either profiled dynamically or pre-seeded
-            from pmlint hints (``PMRaceConfig.static_hints``); hint
-            entries have ``addr == -1``, which matches no real address,
-            so the controller signals on instruction-id match only.
+            CallSiteTable, grouped from the shared-access profile of
+            earlier campaigns: the controller stalls loads at the
+            entry's load sites until one of its store sites (or a store
+            to ``entry.addr``) fires.
         rng: RNG for privileged-thread selection.
         initial_skips: Carried-over cond_wait skip counts (Pitfall 3).
         writer_waiting: Writer stall length after cond_signal.

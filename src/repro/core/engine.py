@@ -17,6 +17,7 @@ run result carries final verdicts.
 """
 
 import copy
+import random
 import time
 
 from ..detect.dedup import group_bugs
@@ -24,7 +25,8 @@ from ..detect.postfailure import PostFailureValidator
 from ..detect.records import Verdict
 from ..detect.validation_service import ValidationQueue, fresh_target_factory
 from ..detect.whitelist import Whitelist
-from ..obs.profiling import RunProfiler, merge_profiles
+from ..instrument.callsite import CallSiteTable
+from ..obs.profiling import NULL_PROFILER, RunProfiler, merge_profiles
 from ..obs.tracer import NULL_TRACER
 from ..runtime.policies import DelayInjectionPolicy, SeededRandomPolicy
 from .campaign import run_campaign
@@ -34,6 +36,16 @@ from .coverage import CoverageSet
 from .inputgen import OperationMutator
 from .priority import SharedAccessQueue
 from .seeding import policy_seed
+
+
+def _trace_fields(record):
+    """``inconsistency`` trace event fields for a kept record."""
+    if record.kind == "sync":
+        return dict(kind="sync", annotation=record.annotation_name,
+                    addr=record.addr)
+    return dict(kind=record.kind, read_code=record.read_instr,
+                write_code=record.write_instr,
+                side_effect_addr=record.side_effect_addr)
 
 
 class PMRaceConfig:
@@ -58,7 +70,7 @@ class PMRaceConfig:
                  writer_waiting=150, max_steps=30_000, spin_hang_limit=400,
                  coverage_feedback="both", base_seed=0, whitelist=None,
                  eadr=False, profile=True, evict_fraction=0.0,
-                 static_hints=False, capture_repro=False,
+                 capture_repro=False,
                  corpus_schedule="energy", corpus_dir=None,
                  initial_corpus=None, target_modules=()):
         self.mode = mode
@@ -94,12 +106,6 @@ class PMRaceConfig:
         #: ``RunResult.profile`` (a few clock reads per campaign); turn
         #: off for a true no-observability baseline.
         self.profile = profile
-        #: Pre-seed each seed's priority queue with pmlint's static
-        #: findings (:mod:`repro.analysis.hints`): statically flagged
-        #: unflushed-store sites and their overlapping loads enter the
-        #: queue at maximal frequency before any dynamic profile exists,
-        #: so the first guided interleavings aim at suspicious windows.
-        self.static_hints = static_hints
         #: Record a deterministic repro bundle (schedule decision vector,
         #: RNG draw journals, op lists — :mod:`repro.replay`) for every
         #: kept inconsistency record. Off by default: capture costs one
@@ -244,20 +250,16 @@ class RunResult:
             if key not in self._candidate_keys:
                 self._candidate_keys.add(key)
                 self.candidates.append(candidate)
-        for record in other.inconsistencies:
-            key = record.dedup_key()
-            if key not in self._inconsistency_keys:
-                self._inconsistency_keys[key] = record
-                self.inconsistencies.append(record)
-            else:
-                self._upgrade_verdict(self._inconsistency_keys[key], record)
-        for record in other.sync_inconsistencies:
-            key = record.dedup_key()
-            if key not in self._sync_keys:
-                self._sync_keys[key] = record
-                self.sync_inconsistencies.append(record)
-            else:
-                self._upgrade_verdict(self._sync_keys[key], record)
+        for records, (kept, known) in zip(
+                (other.inconsistencies, other.sync_inconsistencies),
+                self._record_tables()):
+            for record in records:
+                key = record.dedup_key()
+                if key not in known:
+                    known[key] = record
+                    kept.append(record)
+                else:
+                    self._upgrade_verdict(known[key], record)
         for hang in other.hangs:
             signature = hang.signature()
             if signature not in self._hang_signatures:
@@ -298,6 +300,12 @@ class RunResult:
         self.verdict_upgrades += other.verdict_upgrades
         self._regroup()
         return self
+
+    def _record_tables(self):
+        """(kept records, dedup key → record) for inconsistencies, then
+        sync inconsistencies — the order every fold walks them in."""
+        return ((self.inconsistencies, self._inconsistency_keys),
+                (self.sync_inconsistencies, self._sync_keys))
 
     def _upgrade_verdict(self, kept, duplicate):
         """Adopt a dedup-equal duplicate's judgement when the kept record
@@ -411,262 +419,222 @@ class PMRace:
     def run(self):
         """Execute the fuzzing loop; returns a :class:`RunResult`."""
         cfg = self.config
-        tracer = self.tracer
-        result = RunResult(self.target.NAME, cfg)
-        provider = make_state_provider(self.target, cfg.use_checkpoints,
-                                       eadr=cfg.eadr)
-        space = self.target.operation_space()
-        import random as _random
-        mutator = OperationMutator(space, cfg.n_threads, cfg.ops_per_thread,
-                                   rng=_random.Random(cfg.base_seed))
+        self._result = result = RunResult(self.target.NAME, cfg)
+        self._provider = make_state_provider(self.target, cfg.use_checkpoints,
+                                             eadr=cfg.eadr)
+        mutator = OperationMutator(self.target.operation_space(),
+                                   cfg.n_threads, cfg.ops_per_thread,
+                                   rng=random.Random(cfg.base_seed))
+        # Capture mode journals the draws each campaign consumes (the
+        # streams span campaigns, so replaying campaign N needs its draws,
+        # not the seed). Eviction sampling gets its own stream so it never
+        # perturbs the privileged-election or mutation draws.
+        rng_class = random.Random
         if cfg.capture_repro:
-            # Capture mode journals the draws each campaign consumes:
-            # these streams are shared across campaigns, so replaying
-            # campaign N standalone needs its draws, not the seed.
-            from ..replay import CampaignCapture, RecordingRandom
-            from ..runtime.policies import RecordingPolicy
-            priv_rng = RecordingRandom(cfg.base_seed + 1)
-            evict_rng = RecordingRandom(cfg.base_seed + 2)
-        else:
-            priv_rng = _random.Random(cfg.base_seed + 1)
-            # Independent stream for crash-image eviction sampling so
-            # eviction patterns track the campaign seed without perturbing
-            # the privileged-election or mutation draws.
-            evict_rng = _random.Random(cfg.base_seed + 2)
+            from ..replay import RecordingRandom as rng_class
+        self._priv_rng = rng_class(cfg.base_seed + 1)
+        self._evict_rng = rng_class(cfg.base_seed + 2)
         # One interning table per run: skips, coverage, and the priority
         # queue compare call-site ids across campaigns.
-        from ..instrument.callsite import CallSiteTable
-        callsites = CallSiteTable()
-        # Seed-tier corpus: persisted seeds (resume) come first in their
-        # stored retention order; the deterministic populate/initial
-        # seeds are always regenerated (keeping the mutator RNG stream
-        # identical whether or not a resume found them on disk) and
-        # dedup into their loaded twins.
-        corpus = Corpus(schedule=cfg.corpus_schedule,
-                        persist_dir=cfg.corpus_dir,
-                        metrics=self.metrics, tracer=tracer)
+        self._callsites = CallSiteTable()
+        # Seed-tier corpus: persisted seeds (resume) come first; the
+        # deterministic populate/initial seeds are always regenerated (so
+        # the mutator RNG stream never depends on a resume) and dedup.
+        corpus = self._corpus = Corpus(
+            schedule=cfg.corpus_schedule, persist_dir=cfg.corpus_dir,
+            metrics=self.metrics, tracer=self.tracer)
         corpus.load()
         corpus.add_initial(mutator.populate_seed())
         corpus.add_initial(mutator.initial_seed())
         for exported in cfg.initial_corpus or ():
             corpus.add_exported(exported)
-        branch_cov = CoverageSet(self.metrics, "coverage.branch")
-        alias_cov = CoverageSet(self.metrics, "coverage.alias")
-        profiler = RunProfiler() if cfg.profile else None
-        campaign_counter = None if self.metrics is None else \
+        self._branch_cov = CoverageSet(self.metrics, "coverage.branch")
+        self._alias_cov = CoverageSet(self.metrics, "coverage.alias")
+        self._profiler = RunProfiler() if cfg.profile else NULL_PROFILER
+        self._campaign_counter = None if self.metrics is None else \
             self.metrics.counter("engine.campaigns")
-        skips = {}
-        start = time.monotonic()
+        self._skips = {}
+        self._start = time.monotonic()
+        self.tracer.emit(
+            "run_start", target=self.target.NAME, mode=cfg.mode,
+            base_seed=cfg.base_seed, n_threads=cfg.n_threads,
+            max_campaigns=cfg.max_campaigns,
+            coverage_feedback=cfg.coverage_feedback, eadr=cfg.eadr)
         seed_index = 0
-        use_syncpoints = (cfg.mode == "pmrace"
-                          and cfg.enable_interleaving_tier)
-        static_hints = []
-        if cfg.static_hints and use_syncpoints:
-            # Collected once per run (lint is pure AST work, cached per
-            # target class); a lint failure must never kill a fuzzing
-            # run, so any analysis error just disables hints.
-            from ..analysis.hints import (collect_hints_for_target,
-                                          seed_queue_with_hints)
-            try:
-                static_hints = collect_hints_for_target(self.target)
-            except Exception:
-                static_hints = []
-            tracer.emit("static_hints", target=self.target.NAME,
-                        hints=len(static_hints))
-        tracer.emit("run_start", target=self.target.NAME, mode=cfg.mode,
-                    base_seed=cfg.base_seed, n_threads=cfg.n_threads,
-                    max_campaigns=cfg.max_campaigns,
-                    coverage_feedback=cfg.coverage_feedback, eadr=cfg.eadr)
-
-        def out_of_budget():
-            if result.campaigns >= cfg.max_campaigns:
-                return True
-            if cfg.time_budget is not None and \
-                    time.monotonic() - start > cfg.time_budget:
-                return True
-            return False
-
-        while seed_index < cfg.max_seeds and not out_of_budget():
+        while seed_index < cfg.max_seeds and not self._out_of_budget():
             corpus_entry, evolved = corpus.next_entry(mutator, seed_index)
-            seed = corpus_entry.seed
-            seed_index += 1
-            tracer.emit("seed_start", seed_index=seed_index - 1,
-                        seed_id=seed.seed_id)
-            # Seed tier: reconstruct the priority queue per seed.
-            queue = SharedAccessQueue(self.metrics)
-            if static_hints:
-                # Hints survive the per-seed reconstruction: interning
-                # their module:function:line strings through the run's
-                # table yields the same ids live frames get at those
-                # sites, so guided rounds can stall the hinted loads.
-                seed_queue_with_hints(queue, static_hints, callsites)
-            seed_skips = skips.setdefault(seed.seed_id, {})
-            seed_progress = False
-            seed_campaigns_before = result.campaigns
-            seed_records_before = len(result.inconsistencies) \
-                + len(result.sync_inconsistencies)
-            seed_branch = seed_alias = 0
-            rounds = cfg.max_interleavings_per_seed if use_syncpoints else 1
-            for round_index in range(rounds + 1):
-                if out_of_budget():
-                    break
-                entry = None
-                if use_syncpoints and round_index > 0:
-                    entry = queue.fetch()
-                    if entry is None:
-                        break
-                    if tracer.enabled:
-                        tracer.emit("interleaving", seed_id=seed.seed_id,
-                                    round=round_index, addr=entry.addr,
-                                    loads=len(entry.load_instrs),
-                                    stores=len(entry.store_instrs),
-                                    frequency=entry.frequency)
-                interleaving_progress = False
-                for exec_index in range(cfg.execs_per_interleaving):
-                    if out_of_budget():
-                        break
-                    if profiler is None:
-                        state = provider.provide()
-                    else:
-                        with profiler.phase("provide"):
-                            state = provider.provide()
-                    result.annotation_count = max(
-                        result.annotation_count,
-                        state.annotations.annotation_count)
-                    policy = self._make_policy(result.campaigns)
-                    capture = None
-                    if cfg.capture_repro:
-                        capture = CampaignCapture(
-                            self.target.NAME, cfg, cfg.base_seed,
-                            result.campaigns, seed.threads, entry,
-                            dict(seed_skips))
-                        policy = RecordingPolicy(policy)
-                        priv_rng.begin_segment()
-                        evict_rng.begin_segment()
-                    campaign_kwargs = dict(
-                        entry=entry, rng=priv_rng,
-                        initial_skips=dict(seed_skips),
-                        writer_waiting=cfg.writer_waiting,
-                        taint_enabled=cfg.taint_enabled,
-                        snapshot_images=cfg.snapshot_images,
-                        capture_stacks=cfg.capture_stacks,
-                        max_steps=cfg.max_steps,
-                        spin_hang_limit=cfg.spin_hang_limit,
-                        metrics=self.metrics, callsites=callsites,
-                        evict_fraction=cfg.evict_fraction,
-                        evict_rng=evict_rng)
-                    if profiler is None:
-                        campaign = run_campaign(self.target, state,
-                                                seed.threads, policy,
-                                                **campaign_kwargs)
-                    else:
-                        with profiler.phase("campaign"):
-                            campaign = run_campaign(self.target, state,
-                                                    seed.threads, policy,
-                                                    **campaign_kwargs)
-                    result.campaigns += 1
-                    if campaign_counter is not None:
-                        campaign_counter.inc()
-                    elapsed = time.monotonic() - start
-                    if capture is not None:
-                        checker = campaign.checker
-                        if checker.inconsistencies:
-                            first_key = \
-                                checker.inconsistencies[0].dedup_key()
-                        elif checker.sync_inconsistencies:
-                            first_key = \
-                                checker.sync_inconsistencies[0].dedup_key()
-                        else:
-                            first_key = None
-                        capture.finish(policy.decisions,
-                                       priv_rng.end_segment(),
-                                       evict_rng.end_segment(),
-                                       callsites, first_key=first_key)
-                    if campaign.outcome.status == "error":
-                        raise campaign.outcome.error
-                    new_branch = branch_cov.merge(campaign.branch_edges)
-                    new_alias = alias_cov.merge(campaign.alias_pairs)
-                    seed_branch += new_branch
-                    seed_alias += new_alias
-                    result.coverage_timeline.append(
-                        (result.campaigns, elapsed, len(branch_cov),
-                         len(alias_cov)))
-                    queue.update_from(campaign.profiler)
-                    if campaign.controller is not None:
-                        for instr, skip in \
-                                campaign.controller.updated_skips.items():
-                            seed_skips[instr] = \
-                                seed_skips.get(instr, 0) + skip
-                    if profiler is None:
-                        self._harvest(result, campaign, seed, elapsed,
-                                      capture=capture)
-                    else:
-                        with profiler.phase("harvest"):
-                            self._harvest(result, campaign, seed, elapsed,
-                                          capture=capture)
-                        profiler.sample(result.campaigns)
-                    if tracer.enabled:
-                        tracer.emit("campaign", index=result.campaigns,
-                                    status=campaign.outcome.status,
-                                    steps=campaign.outcome.steps,
-                                    new_branch=new_branch,
-                                    new_alias=new_alias,
-                                    branch_total=len(branch_cov),
-                                    alias_total=len(alias_cov))
-                    if self._progress(new_branch, new_alias):
-                        interleaving_progress = True
-                        seed_progress = True
-                    elif round_index > 0:
-                        # Execution-tier cutoff: a guided interleaving
-                        # whose latest execution added no coverage stops
-                        # burning its remaining execution budget; the next
-                        # queue entry becomes the new sync points.
-                        break
-            # Deferred validation: replay the seed's new crash images
-            # now, off the campaign hot path (cache makes the work
-            # proportional to unique images, not records).
-            self._drain_validation(profiler)
-            corpus.account(corpus_entry,
-                           result.campaigns - seed_campaigns_before,
-                           seed_branch, seed_alias,
-                           len(result.inconsistencies)
-                           + len(result.sync_inconsistencies)
-                           - seed_records_before)
-            if not cfg.enable_seed_tier:
-                # Seed-tier ablation: loop on the first seed only.
-                seed_index = 0
-                if out_of_budget():
-                    break
-            elif evolved:
-                # Seed tier: keep an evolved seed only while productive.
-                # Settling is restricted to *evolved* entries — the old
-                # list dance also popped the last initial seed when it
-                # yielded no new coverage, silently shrinking the pinned
-                # corpus for the rest of the run.
-                corpus.settle(corpus_entry, seed_progress)
-        self._drain_validation(profiler)
+            self._fuzz_seed(corpus_entry, evolved, seed_index)
+            # Seed-tier ablation: loop on the first seed only.
+            seed_index = seed_index + 1 if cfg.enable_seed_tier else 0
+        self._drain_validation()
         result.corpus_seeds = corpus.export()
-        result.duration = time.monotonic() - start
-        if profiler is not None:
-            result.profile = profiler.to_dict(result.duration,
-                                              result.campaigns)
+        result.duration = time.monotonic() - self._start
+        result.profile = self._profiler.to_dict(result.duration,
+                                                result.campaigns)
         self._finalize(result)
-        tracer.emit("run_end", target=self.target.NAME,
-                    duration_s=round(result.duration, 6),
-                    summary=result.summary())
+        self.tracer.emit("run_end", target=self.target.NAME,
+                         duration_s=round(result.duration, 6),
+                         summary=result.summary())
         return result
+
+    def _out_of_budget(self):
+        if self._result.campaigns >= self.config.max_campaigns:
+            return True
+        return self.config.time_budget is not None and \
+            time.monotonic() - self._start > self.config.time_budget
+
+    def _fuzz_seed(self, corpus_entry, evolved, seed_index):
+        """Seed tier: explore one seed's interleavings, validate what
+        they found, and credit the seed in the corpus."""
+        cfg = self.config
+        result = self._result
+        seed = corpus_entry.seed
+        self.tracer.emit("seed_start", seed_index=seed_index,
+                         seed_id=seed.seed_id)
+        # Seed tier: reconstruct the priority queue per seed.
+        queue = SharedAccessQueue(self.metrics)
+        seed_skips = self._skips.setdefault(seed.seed_id, {})
+        campaigns_before = result.campaigns
+        records_before = len(result.inconsistencies) \
+            + len(result.sync_inconsistencies)
+        progress = False
+        gained_branch = gained_alias = 0
+        guided = cfg.mode == "pmrace" and cfg.enable_interleaving_tier
+        rounds = cfg.max_interleavings_per_seed if guided else 1
+        for round_index in range(rounds + 1):
+            if self._out_of_budget():
+                break
+            entry = None
+            if guided and round_index > 0:
+                entry = queue.fetch()
+                if entry is None:
+                    break
+                if self.tracer.enabled:
+                    self.tracer.emit(
+                        "interleaving", seed_id=seed.seed_id,
+                        round=round_index, addr=entry.addr,
+                        loads=len(entry.load_instrs),
+                        stores=len(entry.store_instrs),
+                        frequency=entry.frequency)
+            round_progress, branch, alias = self._run_round(
+                seed, entry, queue, seed_skips, round_index)
+            progress = progress or round_progress
+            gained_branch += branch
+            gained_alias += alias
+        # Deferred validation: replay the seed's new crash images now,
+        # off the campaign hot path (cache makes the work proportional
+        # to unique images, not records).
+        self._drain_validation()
+        self._corpus.account(
+            corpus_entry, result.campaigns - campaigns_before,
+            gained_branch, gained_alias,
+            len(result.inconsistencies) + len(result.sync_inconsistencies)
+            - records_before)
+        if evolved and cfg.enable_seed_tier:
+            # Seed tier: keep an evolved seed only while productive.
+            # Settling is restricted to *evolved* entries, so the pinned
+            # initial seeds never leave the corpus.
+            self._corpus.settle(corpus_entry, progress)
+
+    def _run_round(self, seed, entry, queue, seed_skips, round_index):
+        """Execution tier: run one interleaving choice up to
+        ``execs_per_interleaving`` times; returns (progress, new branch,
+        new alias) summed over its executions."""
+        progress = False
+        gained_branch = gained_alias = 0
+        for _ in range(self.config.execs_per_interleaving):
+            if self._out_of_budget():
+                break
+            new_branch, new_alias = self._run_one_campaign(
+                seed, entry, queue, seed_skips)
+            gained_branch += new_branch
+            gained_alias += new_alias
+            if self._progress(new_branch, new_alias):
+                progress = True
+            elif round_index > 0:
+                # Execution-tier cutoff: a guided interleaving whose
+                # latest execution added no coverage stops burning its
+                # remaining execution budget; the next queue entry
+                # becomes the new sync points.
+                break
+        return progress, gained_branch, gained_alias
+
+    def _run_one_campaign(self, seed, entry, queue, seed_skips):
+        """Run one campaign and fold its feedback into the run; returns
+        the (new branch, new alias) coverage it added."""
+        cfg = self.config
+        result = self._result
+        profiler = self._profiler
+        with profiler.phase("provide"):
+            state = self._provider.provide()
+        result.annotation_count = max(result.annotation_count,
+                                      state.annotations.annotation_count)
+        policy = self._make_policy(result.campaigns)
+        capture = None
+        if cfg.capture_repro:
+            from ..replay import CampaignCapture
+            from ..runtime.policies import RecordingPolicy
+            capture = CampaignCapture(
+                self.target.NAME, cfg, cfg.base_seed, result.campaigns,
+                seed.threads, entry, dict(seed_skips))
+            policy = RecordingPolicy(policy)
+            self._priv_rng.begin_segment()
+            self._evict_rng.begin_segment()
+        with profiler.phase("campaign"):
+            # Looked up through the module global on every call so a
+            # harness can wrap ``engine.run_campaign``.
+            campaign = run_campaign(
+                self.target, state, seed.threads, policy, entry=entry,
+                rng=self._priv_rng, initial_skips=dict(seed_skips),
+                writer_waiting=cfg.writer_waiting,
+                taint_enabled=cfg.taint_enabled,
+                snapshot_images=cfg.snapshot_images,
+                capture_stacks=cfg.capture_stacks, max_steps=cfg.max_steps,
+                spin_hang_limit=cfg.spin_hang_limit, metrics=self.metrics,
+                callsites=self._callsites,
+                evict_fraction=cfg.evict_fraction,
+                evict_rng=self._evict_rng)
+        result.campaigns += 1
+        if self._campaign_counter is not None:
+            self._campaign_counter.inc()
+        elapsed = time.monotonic() - self._start
+        if capture is not None:
+            checker = campaign.checker
+            first = checker.inconsistencies or checker.sync_inconsistencies
+            capture.finish(policy.decisions, self._priv_rng.end_segment(),
+                           self._evict_rng.end_segment(), self._callsites,
+                           first_key=first[0].dedup_key() if first else None)
+        if campaign.outcome.status == "error":
+            raise campaign.outcome.error
+        new_branch = self._branch_cov.merge(campaign.branch_edges)
+        new_alias = self._alias_cov.merge(campaign.alias_pairs)
+        result.coverage_timeline.append(
+            (result.campaigns, elapsed, len(self._branch_cov),
+             len(self._alias_cov)))
+        queue.update_from(campaign.profiler)
+        if campaign.controller is not None:
+            for instr, skip in campaign.controller.updated_skips.items():
+                seed_skips[instr] = seed_skips.get(instr, 0) + skip
+        with profiler.phase("harvest"):
+            self._harvest(result, campaign, seed, elapsed, capture=capture)
+        profiler.sample(result.campaigns)
+        if self.tracer.enabled:
+            self.tracer.emit("campaign", index=result.campaigns,
+                             status=campaign.outcome.status,
+                             steps=campaign.outcome.steps,
+                             new_branch=new_branch, new_alias=new_alias,
+                             branch_total=len(self._branch_cov),
+                             alias_total=len(self._alias_cov))
+        return new_branch, new_alias
 
     # ------------------------------------------------------------------
 
-    def _drain_validation(self, profiler=None):
+    def _drain_validation(self):
         """Validate every record queued since the last drain."""
         if not self.config.validate or not self.validation:
             return
-        if profiler is None:
+        with self._profiler.phase("validate"):
             self.validation.drain()
-        else:
-            with profiler.phase("validate"):
-                self.validation.drain()
 
     def _harvest(self, result, campaign, seed, elapsed, capture=None):
         checker = campaign.checker
@@ -689,64 +657,40 @@ class PMRace:
                                 read_code=candidate.read_instr,
                                 write_code=candidate.write_instr)
         inter_found = 0
-        for record in checker.inconsistencies:
-            if record.kind == "inter":
-                inter_found += 1
-            key = record.dedup_key()
-            if key in result._inconsistency_keys:
-                # Dedup-equal duplicate: its crash image may settle a
-                # kept record that arrived imageless (PENDING forever
-                # before this hook existed), and its campaign's bundle
-                # can make a bundle-less kept record replayable.
-                self.validation.offer_image(key, record.crash_image)
+        for records, (kept, known) in zip(
+                (checker.inconsistencies, checker.sync_inconsistencies),
+                result._record_tables()):
+            for record in records:
+                key = record.dedup_key()
+                if record.kind == "inter":
+                    inter_found += 1
+                if key in known:
+                    # Dedup-equal duplicate: its crash image may settle a
+                    # kept record that arrived imageless, and its
+                    # campaign's bundle can make a bundle-less kept
+                    # record replayable.
+                    self.validation.offer_image(key, record.crash_image)
+                    if capture is not None and known[key].bundle is None:
+                        known[key].bundle = capture.bundle_for(known[key])
+                    continue
+                known[key] = record
+                kept.append(record)
                 if capture is not None:
-                    kept = result._inconsistency_keys[key]
-                    if kept.bundle is None:
-                        kept.bundle = capture.bundle_for(kept)
-                continue
-            result._inconsistency_keys[key] = record
-            result.inconsistencies.append(record)
-            if capture is not None:
-                record.bundle = capture.bundle_for(record)
-            if metrics is not None:
-                metrics.counter("detect.inconsistencies.%s"
-                                % record.kind).inc()
-            if tracer.enabled:
-                tracer.emit("inconsistency", kind=record.kind,
-                            read_code=record.read_instr,
-                            write_code=record.write_instr,
-                            side_effect_addr=record.side_effect_addr)
-            if self.config.validate:
-                self.validation.enqueue(record)
-            else:
-                self.validation.register(record)
-            if record.kind == "inter" and result.first_inter_time is None:
-                result.first_inter_time = elapsed
+                    record.bundle = capture.bundle_for(record)
+                if metrics is not None:
+                    metrics.counter("detect.inconsistencies.%s"
+                                    % record.kind).inc()
+                if tracer.enabled:
+                    tracer.emit("inconsistency", **_trace_fields(record))
+                if self.config.validate:
+                    self.validation.enqueue(record)
+                else:
+                    self.validation.register(record)
+                if record.kind == "inter" and \
+                        result.first_inter_time is None:
+                    result.first_inter_time = elapsed
         if inter_found:
             result.inter_hit_times.append((elapsed, inter_found))
-        for record in checker.sync_inconsistencies:
-            key = record.dedup_key()
-            if key in result._sync_keys:
-                self.validation.offer_image(key, record.crash_image)
-                if capture is not None:
-                    kept = result._sync_keys[key]
-                    if kept.bundle is None:
-                        kept.bundle = capture.bundle_for(kept)
-                continue
-            result._sync_keys[key] = record
-            result.sync_inconsistencies.append(record)
-            if capture is not None:
-                record.bundle = capture.bundle_for(record)
-            if metrics is not None:
-                metrics.counter("detect.inconsistencies.sync").inc()
-            if tracer.enabled:
-                tracer.emit("inconsistency", kind="sync",
-                            annotation=record.annotation_name,
-                            addr=record.addr)
-            if self.config.validate:
-                self.validation.enqueue(record)
-            else:
-                self.validation.register(record)
         if campaign.outcome.status == "hang":
             hang = HangRecord(campaign.outcome.blocked, seed.seed_id)
             signature = hang.signature()

@@ -112,40 +112,6 @@ class SharedAccessQueue:
             self._m_groups.set(len(self._groups))
             self._m_pending.set(self.pending())
 
-    def add_hint(self, store_instrs, load_instrs, frequency):
-        """Inject a static hint group ahead of the dynamic profile.
-
-        pmlint's bridge (:mod:`repro.analysis.hints`) calls this with
-        interned ids for statically flagged store/load sites and a
-        frequency far above anything ``update_from`` accumulates, so
-        ``fetch`` serves hints before organic groups. The group carries
-        ``addr=-1`` (no concrete address is known statically): the
-        sync-point controller signals on instruction-id match and its
-        address fallback compares unequal to every real address.
-
-        If a dynamic group with the same store set already exists, the
-        hint merges into it (loads union, frequency boost) rather than
-        shadowing it. Returns True when a new group was created.
-        """
-        key = frozenset(store_instrs)
-        group = self._groups.get(key)
-        if group is None:
-            self._groups[key] = {
-                "loads": set(load_instrs),
-                "frequency": frequency,
-                "addr": -1,
-                "addr_freq": 0,
-            }
-            created = True
-        else:
-            group["loads"] |= set(load_instrs)
-            group["frequency"] += frequency
-            created = False
-        if self._m_groups is not None:
-            self._m_groups.set(len(self._groups))
-            self._m_pending.set(self.pending())
-        return created
-
     def fetch(self):
         """Pop the most frequent unexplored group, or None when drained."""
         best_key, best = None, None

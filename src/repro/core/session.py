@@ -197,8 +197,11 @@ def fsync_dir(path):
         os.close(fd)
 
 
-def atomic_write_text(path, text, fault=NULL_FAULTS, point="atomic_write"):
-    """Write ``text`` to ``path`` via tmp + fsync + ``os.replace``.
+def atomic_write_bytes(path, data, fault=NULL_FAULTS,
+                       point="atomic_write"):
+    """Write ``data`` to ``path`` via tmp + fsync + ``os.replace`` +
+    directory fsync — the one durable-write path every on-disk artifact
+    (session files, crash images, corpus seeds, repro bundles) uses.
 
     A crash (real or injected) at any instant leaves either the old
     complete file or the new complete file at ``path`` — never a torn
@@ -207,18 +210,24 @@ def atomic_write_text(path, text, fault=NULL_FAULTS, point="atomic_write"):
     """
     action = fault.check(point) if fault else None
     tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w") as handle:
+    with open(tmp, "wb") as handle:
         if action == "torn":
-            handle.write(text[: len(text) // 2])
+            handle.write(data[: len(data) // 2])
             handle.flush()
             os.fsync(handle.fileno())
             raise InjectedFault("injected torn write at %s" % point)
-        handle.write(text)
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
     fsync_dir(os.path.dirname(path) or ".")
     return path
+
+
+def atomic_write_text(path, text, fault=NULL_FAULTS, point="atomic_write"):
+    """:func:`atomic_write_bytes` for UTF-8 text."""
+    return atomic_write_bytes(path, text.encode("utf-8"), fault=fault,
+                              point=point)
 
 
 def atomic_write_json(path, payload, fault=NULL_FAULTS,
@@ -309,19 +318,8 @@ class ImageStore:
         if os.path.exists(path):
             return ref
         os.makedirs(self.directory, exist_ok=True)
-        action = self.fault.check("image_write") if self.fault else None
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "wb") as handle:
-            if action == "torn":
-                handle.write(bytes(image)[: len(image) // 2])
-                handle.flush()
-                os.fsync(handle.fileno())
-                raise InjectedFault("injected torn image write")
-            handle.write(bytes(image))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        fsync_dir(self.directory)
+        atomic_write_bytes(path, bytes(image), fault=self.fault,
+                           point="image_write")
         return ref
 
     def get(self, ref):

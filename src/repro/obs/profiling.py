@@ -1,14 +1,15 @@
 """Profiling hooks: per-phase wall time and execs/sec sampling.
 
-The engine owns one :class:`RunProfiler` per session (unless profiling
-is disabled) and stores its :meth:`to_dict` output on
-``RunResult.profile`` — the single source of truth benchmarks read
-throughput numbers from. Phases are coarse engine stages (state
-provision, campaign execution, feedback harvesting), *not* per-access
-hooks, so the profiler's own cost is a few monotonic-clock reads per
-campaign.
+The engine owns one :class:`RunProfiler` per session (the shared
+:data:`NULL_PROFILER` when profiling is disabled) and stores its
+:meth:`to_dict` output on ``RunResult.profile`` — the single source of
+truth benchmarks read throughput numbers from. Phases are coarse engine
+stages (state provision, campaign execution, feedback harvesting), *not*
+per-access hooks, so the profiler's own cost is a few monotonic-clock
+reads per campaign.
 """
 
+import contextlib
 import time
 
 
@@ -76,6 +77,28 @@ class RunProfiler:
             "phase_counts": dict(sorted(self.phase_counts.items())),
             "samples": [list(point) for point in self.samples],
         }
+
+
+_NULL_PHASE = contextlib.nullcontext()
+
+
+class NullProfiler:
+    """The disabled profiler: same interface, no clock reads, and an
+    empty ``RunResult.profile``."""
+
+    def phase(self, name):
+        """Return a shared no-op context manager."""
+        return _NULL_PHASE
+
+    def sample(self, executions):
+        """Discard the sample."""
+
+    def to_dict(self, duration, executions):
+        return {}
+
+
+#: Shared null instance, used by the engine when ``profile`` is off.
+NULL_PROFILER = NullProfiler()
 
 
 def merge_profiles(base, other):

@@ -28,7 +28,6 @@ EVENT_TYPES = frozenset({
     "run_start",         # one engine session (or parallel service) begins
     "run_end",           # ... ends; carries the result summary
     "seed_start",        # seed tier: a new seed enters the loop
-    "static_hints",      # pmlint pre-seeding: hint count injected per run
     "interleaving",      # interleaving tier: a queue entry becomes sync points
     "campaign",          # one execution finished (coverage deltas attached)
     "corpus_load",       # seed corpus restored from a --corpus-dir

@@ -24,7 +24,8 @@ instead of replaying garbage.
 """
 
 import json
-import os
+
+from ..core.session import atomic_write_text
 
 BUNDLE_VERSION = 1
 
@@ -191,16 +192,10 @@ class ReproBundle:
         return cls(data)
 
     def save(self, path):
-        """Atomically write the bundle: tmp + fsync + rename-into-place,
-        so a kill mid-save can never leave a torn bundle at ``path``."""
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "w") as handle:
-            handle.write(self.to_json(indent=2))
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        return path
+        """Durably write the bundle (tmp + fsync + rename + directory
+        fsync), so a kill mid-save can never leave a torn bundle at
+        ``path``."""
+        return atomic_write_text(path, self.to_json(indent=2) + "\n")
 
     @classmethod
     def load(cls, path):

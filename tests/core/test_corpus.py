@@ -189,6 +189,23 @@ class TestPersistence:
         assert (loaded.campaigns, loaded.new_branch, loaded.new_alias,
                 loaded.inconsistencies) == (3, 5, 2, 1)
 
+    def test_persist_fsyncs_file_and_directory(self, tmp_path,
+                                               monkeypatch):
+        """A retained seed survives power loss: its file contents and
+        the directory entry naming it are both fsync'd."""
+        synced = set()
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.add(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        entry = Corpus(persist_dir=str(tmp_path)).add_initial(make_seed())
+        path = os.path.join(str(tmp_path), entry.digest + ".json")
+        assert os.stat(path).st_ino in synced
+        assert os.stat(str(tmp_path)).st_ino in synced
+
     def test_load_skips_tampered_file(self, tmp_path):
         corpus = Corpus(persist_dir=str(tmp_path))
         corpus.add_initial(make_seed())

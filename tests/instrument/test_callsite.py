@@ -1,5 +1,7 @@
 """Call-site identification tests."""
 
+import sys
+
 from repro.instrument import call_site, stack_trace
 
 
@@ -122,3 +124,19 @@ class TestCallSiteTable:
         table = self.make()
         site = table.intern_caller(skip=1)
         assert not table.name(site).startswith("repro.instrument")
+
+
+def test_static_strings_unify_with_runtime_interned_frames():
+    """The bijection replay relies on: interning a recorded
+    ``module:function:line`` string (as a repro bundle stores call sites)
+    yields the same id a live frame at that site gets."""
+    from repro.instrument import CallSiteTable
+    table = CallSiteTable()
+
+    def writer():
+        return table.intern_caller(skip=1), sys._getframe(0).f_lineno
+
+    runtime_id, lineno = writer()
+    static_string = "%s:writer:%d" % (__name__, lineno)
+    assert table.intern_name(static_string) == runtime_id
+    assert table.name(runtime_id) == static_string
