@@ -38,7 +38,7 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, _ROOT)
 sys.path.insert(0, os.path.join(_ROOT, "src"))  # works without pip install
 
-from repro.core import PMRaceConfig, fuzz_target
+from repro.core import PMRaceConfig, fuzz_parallel
 from repro.core.results import render_table
 from repro.instrument import InstrumentationContext, PmView
 from repro.pmem import PmemPool
@@ -63,7 +63,7 @@ def measure_fuzz():
     """Campaigns per second of one bounded toy-target fuzzing session."""
     config = PMRaceConfig(max_campaigns=CAMPAIGNS, profile=False)
     start = time.perf_counter()
-    result = fuzz_target(ToyTarget(), config, seeds=SEEDS)
+    result = fuzz_parallel(ToyTarget, config, seeds=SEEDS, processes=1)
     elapsed = time.perf_counter() - start
     assert result.campaigns == CAMPAIGNS * len(SEEDS)
     return result.campaigns / elapsed

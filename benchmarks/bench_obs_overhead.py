@@ -24,7 +24,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from repro.core import PMRaceConfig, fuzz_target
+from repro.core import PMRaceConfig, fuzz_parallel
 from repro.core.results import render_table
 from repro.obs import Metrics, Tracer
 
@@ -42,8 +42,8 @@ def measure(profile, with_sinks=False):
     tracer = Tracer(io.StringIO()) if with_sinks else None
     metrics = Metrics() if with_sinks else None
     start = time.perf_counter()
-    result = fuzz_target(ToyTarget(), config, seeds=(7,), tracer=tracer,
-                         metrics=metrics)
+    result = fuzz_parallel(ToyTarget, config, seeds=(7,), processes=1,
+                           tracer=tracer, metrics=metrics)
     elapsed = time.perf_counter() - start
     assert result.campaigns == CAMPAIGNS
     return result.campaigns / elapsed

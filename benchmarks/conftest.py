@@ -7,11 +7,17 @@ pytest's capture.
 """
 
 import os
+import sys
 
 import pytest
 
-from repro.core import PMRaceConfig, fuzz_target
-from repro.targets import TARGET_CLASSES
+_SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
+
+from repro.core import PMRaceConfig, fuzz_parallel  # noqa: E402
+from repro.targets import TARGET_CLASSES  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -40,7 +46,8 @@ def fuzz_all_targets():
         results = {}
         for cls in TARGET_CLASSES:
             config = PMRaceConfig(max_seeds=20, **BUDGETS[cls.NAME])
-            results[cls.NAME] = fuzz_target(cls(), config, seeds=SEEDS)
+            results[cls.NAME] = fuzz_parallel(cls, config, seeds=SEEDS,
+                                              processes=1)
         _cache["paper"] = results
     return _cache["paper"]
 

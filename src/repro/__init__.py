@@ -26,7 +26,6 @@ from .core import (
     Seed,
     WorkerStats,
     fuzz_parallel,
-    fuzz_target,
     run_campaign,
 )
 from .detect import (
@@ -70,7 +69,6 @@ __all__ = [
     "OperationMutator",
     "AflByteMutator",
     "run_campaign",
-    "fuzz_target",
     "fuzz_parallel",
     "ParallelFuzzService",
     "WorkerStats",

@@ -40,7 +40,7 @@ the minimized bundle next to the input as ``<name>.min.json``.
 import argparse
 import sys
 
-from .core import PMRaceConfig, fuzz_parallel, fuzz_target
+from .core import PMRaceConfig, fuzz_parallel
 from .core.results import (
     build_table2,
     build_table3,
@@ -49,13 +49,9 @@ from .core.results import (
     build_worker_table,
     render_table,
 )
-from .detect.postfailure import PostFailureValidator
 from .detect.records import Verdict
 from .detect.reporting import dump_run_result, load_whitelist
-from .detect.validation_service import (
-    ValidationQueue,
-    validate_records_parallel,
-)
+from .detect.validation_service import validate_records_parallel
 from .detect.whitelist import Whitelist
 from .obs import Metrics, Tracer, render_stats, summarize_path
 from .targets import make_target, table1_rows, target_names
@@ -172,26 +168,38 @@ def _open_session(args, target, kind, config, tracer=None, metrics=None):
     return session, None
 
 
-def _session_exit(result, args):
-    """Exit code for a session run: 128+signum when interrupted (the
-    session is checkpointed and resumable), else None."""
-    interrupted = getattr(result, "interrupted", None)
-    if interrupted is None:
-        return None
-    print("\ninterrupted by signal %d — session checkpointed to %s; "
-          "rerun with --resume to continue"
-          % (interrupted, args.session_dir), file=sys.stderr)
-    return 128 + interrupted
+def _fuzz_exit(result, args, max_retries):
+    """The fuzz commands' exit code: 128+signum when a session run was
+    interrupted (checkpointed and resumable), 1 when a worker exhausted
+    its retry budget, else 0."""
+    if result.interrupted is not None:
+        print("\ninterrupted by signal %d — session checkpointed to %s; "
+              "rerun with --resume to continue"
+              % (result.interrupted, args.session_dir), file=sys.stderr)
+        return 128 + result.interrupted
+    exhausted = [s for s in result.worker_stats
+                 if s.status != "ok" and s.attempt >= max_retries]
+    if exhausted:
+        print("\n%d worker attempt(s) failed with no retry budget left"
+              % len(exhausted), file=sys.stderr)
+        for stats in exhausted:
+            print("  worker %d seed %d: %s"
+                  % (stats.worker_id, stats.seed,
+                     (stats.error or stats.status).strip().splitlines()[-1]),
+                  file=sys.stderr)
+        return 1
+    return 0
 
 
-def _fuzz_one(name, args, tracer=None, metrics=None):
-    config = _make_config(args)
-    if getattr(args, "parallel", 0):
-        return fuzz_parallel(name, config, seeds=tuple(args.seeds),
-                             processes=args.parallel, tracer=tracer,
-                             metrics=metrics)
-    return fuzz_target(make_target(name), config, seeds=tuple(args.seeds),
-                       tracer=tracer, metrics=metrics)
+def _fuzz_one(name, args, config=None, tracer=None, metrics=None,
+              session=None):
+    """Fuzz ``name`` once per ``--seeds`` entry: in-process, or on a pool
+    of ``--parallel N`` workers. A seed that raises is not retried."""
+    return fuzz_parallel(name, config or _make_config(args),
+                         seeds=tuple(args.seeds),
+                         processes=getattr(args, "parallel", 0) or 1,
+                         max_retries=0, tracer=tracer, metrics=metrics,
+                         session=session)
 
 
 def cmd_targets(args):
@@ -262,24 +270,11 @@ def cmd_fuzz(args):
                                    tracer=tracer, metrics=metrics)
     if error is not None:
         return error
-    if session is None:
-        result = _fuzz_one(args.target, args, tracer=tracer,
-                           metrics=metrics)
-    elif kind == "parallel":
-        result = fuzz_parallel(args.target, config,
-                               seeds=tuple(args.seeds),
-                               processes=args.parallel, tracer=tracer,
-                               metrics=metrics, session=session)
-    else:
-        from .core.session import run_fuzz_session
-        result, _signum = run_fuzz_session(args.target, config,
-                                           tuple(args.seeds), session,
-                                           tracer=tracer, metrics=metrics)
+    result = _fuzz_one(args.target, args, config=config, tracer=tracer,
+                       metrics=metrics, session=session)
     _print_findings(result, args)
     _close_obs(args, tracer, metrics)
-    exit_code = _session_exit(result, args) if session is not None \
-        else None
-    return exit_code if exit_code is not None else 0
+    return _fuzz_exit(result, args, max_retries=0)
 
 
 def cmd_fuzz_parallel(args):
@@ -313,17 +308,7 @@ def cmd_fuzz_parallel(args):
     print()
     _print_findings(result, args)
     _close_obs(args, tracer, metrics)
-    if session is not None:
-        exit_code = _session_exit(result, args)
-        if exit_code is not None:
-            return exit_code
-    failed = [s for s in result.worker_stats if s.status != "ok"]
-    exhausted = [s for s in failed if s.attempt >= args.max_retries]
-    if exhausted:
-        print("\n%d worker attempt(s) failed with no retry budget left"
-              % len(exhausted), file=sys.stderr)
-        return 1
-    return 0
+    return _fuzz_exit(result, args, max_retries=args.max_retries)
 
 
 def cmd_validate(args):
@@ -333,24 +318,13 @@ def cmd_validate(args):
     tracer, metrics = _make_obs(args)
     config = _make_config(args)
     config.validate = False
-    result = fuzz_target(make_target(args.target), config,
-                         seeds=tuple(args.seeds), tracer=tracer,
-                         metrics=metrics)
-    whitelist = config.whitelist or Whitelist()
+    result = _fuzz_one(args.target, args, config=config, tracer=tracer,
+                       metrics=metrics)
     records = list(result.inconsistencies) + list(result.sync_inconsistencies)
-    if args.jobs > 1:
-        stats = validate_records_parallel(
-            args.target, records, whitelist=whitelist, jobs=args.jobs,
-            metrics=metrics, target_modules=config.target_modules)
-    else:
-        validator = PostFailureValidator(
-            lambda: make_target(args.target), whitelist,
-            tracer=tracer, metrics=metrics)
-        queue = ValidationQueue(validator, tracer=tracer, metrics=metrics)
-        for record in records:
-            queue.enqueue(record)
-        queue.drain()
-        stats = queue.stats()
+    stats = validate_records_parallel(
+        args.target, records, whitelist=config.whitelist or Whitelist(),
+        jobs=args.jobs, tracer=tracer, metrics=metrics,
+        target_modules=config.target_modules)
     result._regroup()
     by_verdict = {}
     for record in records:
@@ -368,7 +342,7 @@ def cmd_validate(args):
     print()
     _print_findings(result, args)
     _close_obs(args, tracer, metrics)
-    return 0
+    return _fuzz_exit(result, args, max_retries=0)
 
 
 def _load_bundle(path):
@@ -548,7 +522,8 @@ def cmd_tables(args):
     print()
     print(render_table(build_table6(results),
                        title="Table 6: inconsistencies and FPs"))
-    return 0
+    return max(_fuzz_exit(result, args, max_retries=0)
+               for result in results.values())
 
 
 def build_parser():

@@ -21,7 +21,7 @@ from .corpus import (
     minimize_by_coverage,
     seed_digest,
 )
-from .engine import HangRecord, PMRace, PMRaceConfig, RunResult, fuzz_target
+from .engine import HangRecord, PMRace, PMRaceConfig, RunResult
 from .inputgen import AflByteMutator, OperationMutator, Seed
 from .parallel import ParallelFuzzService, WorkerStats, fuzz_parallel
 from .priority import AccessProfiler, SharedAccessEntry, SharedAccessQueue
@@ -32,7 +32,6 @@ from .session import (
     SessionError,
     SessionInterrupted,
     result_fingerprint,
-    run_fuzz_session,
 )
 from .results import (
     EXPECTED_BUGS,
@@ -53,7 +52,6 @@ __all__ = [
     "PMRace",
     "PMRaceConfig",
     "RunResult",
-    "fuzz_target",
     "fuzz_parallel",
     "ParallelFuzzService",
     "WorkerStats",
@@ -64,7 +62,6 @@ __all__ = [
     "SessionError",
     "SessionInterrupted",
     "FaultInjector",
-    "run_fuzz_session",
     "result_fingerprint",
     "HangRecord",
     "run_campaign",

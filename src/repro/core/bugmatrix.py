@@ -28,7 +28,8 @@ catalogs: :func:`run_bug_matrix` takes any list of registered names.
 
 from ..detect.records import Verdict
 from ..detect.validation_service import make_validation_queue
-from .engine import PMRaceConfig, fuzz_target
+from .engine import PMRaceConfig
+from .parallel import fuzz_parallel
 from .results import SEEDED_BUGS, expected_bugs_for, match_expected
 
 #: Pinned per-target budgets: seeds + campaign caps that rediscover
@@ -65,14 +66,12 @@ def matrix_targets():
 
 def run_matrix_target(name, budget=None):
     """One pinned-seed capture-mode fuzzing run for ``name``."""
-    from ..targets.registry import make_target
-
     budget = dict(budget if budget is not None
                   else MATRIX_BUDGETS.get(name, DEFAULT_BUDGET))
     seeds = budget.pop("seeds")
     config = PMRaceConfig(capture_repro=True, profile=False,
                           max_seeds=budget.pop("max_seeds", 16), **budget)
-    return fuzz_target(make_target(name), config, seeds=seeds)
+    return fuzz_parallel(name, config, seeds=seeds, processes=1)
 
 
 def _site_text(record):

@@ -16,7 +16,6 @@ unique inconsistency goes straight through post-failure validation so the
 run result carries final verdicts.
 """
 
-import copy
 import random
 import time
 
@@ -130,30 +129,6 @@ class PMRaceConfig:
         #: re-register dynamically loaded targets in their own
         #: interpreter before ``make_target`` runs.
         self.target_modules = tuple(target_modules)
-
-
-def fuzz_target(target, config=None, seeds=(7, 13), tracer=None,
-                metrics=None):
-    """Fuzz ``target`` once per base seed and merge the findings.
-
-    Multiple seeded sessions stand in for the paper's long wall-clock
-    fuzzing runs; results are deduplicated exactly like within one run.
-
-    The config is deep-copied per session so mutable members (the
-    whitelist in particular) are never shared between sessions. The
-    optional tracer/metrics objects are shared across sessions (they are
-    observability sinks, not session state).
-    """
-    merged = None
-    for seed in seeds:
-        cfg = copy.deepcopy(config) if config is not None else PMRaceConfig()
-        cfg.base_seed = seed
-        result = PMRace(target, cfg, tracer=tracer, metrics=metrics).run()
-        if merged is None:
-            merged = result
-        else:
-            merged.merge(result)
-    return merged
 
 
 class HangRecord:
@@ -282,8 +257,11 @@ class RunResult:
         for entry in other.corpus_seeds:
             kept = known.get(entry["digest"])
             if kept is None:
-                known[entry["digest"]] = entry
-                self.corpus_seeds.append(entry)
+                # A private copy: the stats summing below must never
+                # write through into the merged-in result.
+                kept = dict(entry, stats=dict(entry["stats"]))
+                known[entry["digest"]] = kept
+                self.corpus_seeds.append(kept)
             else:
                 # Same input retained by several sessions: one document
                 # survives, carrying the summed scheduling statistics.

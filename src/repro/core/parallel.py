@@ -2,8 +2,10 @@
 
 The original PMRace runs 13 worker processes for hours, each fuzzing with
 its own seeds, and merges their findings.  This module is the scaling
-surface of the reproduction: one engine session per seed, run by a
-persistent worker pool, with the guarantees a long campaign needs:
+surface of the reproduction and its only multi-seed loop: one engine
+session per seed, run by a persistent worker pool or in-process with
+``processes=1`` (how ``repro fuzz``, ``validate``, ``tables`` and the bug
+matrix run), with the guarantees a long campaign needs:
 
 * **Streaming merge** — per-worker :class:`~repro.core.engine.RunResult`s
   are folded into a *fresh* merged result as they complete (workers'
@@ -220,11 +222,13 @@ def _session_config(config, seed, shared_corpus=None):
     return cfg
 
 
-def _run_worker(payload):
+def _run_worker(payload, tracer=None, metrics=None):
     """Pool entry point: run one engine session, never raise.
 
     Exceptions are captured and shipped back as a tagged tuple so one
     crashing worker cannot tear down the whole ``map``/pool iteration.
+    ``tracer``/``metrics`` are only passed on the in-process path, where
+    the engine session shares the service's sinks.
 
     When the config has ``capture_repro`` on, the records inside the
     returned RunResult carry their repro bundles (plain-data JSON
@@ -258,7 +262,7 @@ def _run_worker(payload):
         else:
             target = factory()
         cfg = _session_config(config, seed, shared_corpus)
-        result = PMRace(target, cfg).run()
+        result = PMRace(target, cfg, tracer=tracer, metrics=metrics).run()
         return (worker_id, attempt, seed, "ok", result)
     except (SessionInterrupted, KeyboardInterrupt):
         # On the in-process path the SignalGuard handler raises inside
@@ -335,9 +339,9 @@ class ParallelFuzzService:
         self.clock = clock
         self.sleep = sleep
         self.heartbeat_interval = heartbeat_interval
-        # Observability sinks live in the parent only: workers run in
-        # subprocesses, so worker-side events surface here as typed
-        # "worker" records and merged profile/metric aggregates.
+        # Pool workers run in subprocesses, so their events surface here
+        # as typed "worker" records and merged profile/metric aggregates;
+        # in-process sessions (processes=1) write into these sinks too.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         # The merged result is a *fresh* RunResult: worker results are
@@ -390,20 +394,26 @@ class ParallelFuzzService:
 
     def run(self):
         jobs = self._initial_jobs()
-        self.tracer.emit("run_start",
-                         target=_target_name(self.target), parallel=True,
-                         seeds=list(self.seeds), processes=self.processes,
-                         max_retries=self.max_retries,
-                         resumed=bool(self.session is not None
-                                      and self.session.resumed))
+        inprocess = self.processes == 1
+        # In-process engine sessions emit their own run_start/run_end
+        # into the shared tracer; only the pool run needs a pair here.
+        if not inprocess:
+            self.tracer.emit("run_start",
+                             target=_target_name(self.target), parallel=True,
+                             seeds=list(self.seeds),
+                             processes=self.processes,
+                             max_retries=self.max_retries,
+                             resumed=bool(self.session is not None
+                                          and self.session.resumed))
         start = time.monotonic()
         interrupted = None
+        dispatch = self._run_inprocess if inprocess else self._run_pool
         try:
             if self.session is not None:
                 with SignalGuard():
-                    self._dispatch(jobs)
+                    dispatch(jobs)
             else:
-                self._dispatch(jobs)
+                dispatch(jobs)
         except SessionInterrupted as exc:
             interrupted = exc.signum
         except KeyboardInterrupt:
@@ -421,17 +431,12 @@ class ParallelFuzzService:
                 self.merged, self._units, final=interrupted is None,
                 interrupted=interrupted)
         self.merged.interrupted = interrupted
-        self.tracer.emit("run_end", target=self.merged.target_name,
-                         duration_s=round(time.monotonic() - start, 6),
-                         interrupted=interrupted,
-                         summary=self.merged.summary())
+        if not inprocess:
+            self.tracer.emit("run_end", target=self.merged.target_name,
+                             duration_s=round(time.monotonic() - start, 6),
+                             interrupted=interrupted,
+                             summary=self.merged.summary())
         return self.merged
-
-    def _dispatch(self, jobs):
-        if self.processes == 1:
-            self._run_inprocess(jobs)
-        else:
-            self._run_pool(jobs)
 
     # ------------------------------------------------------------------
 
@@ -540,7 +545,8 @@ class ParallelFuzzService:
             if remaining > 0:
                 self.sleep(remaining)
             job = self._reseed(job)
-            retry = self._absorb(job, _run_worker(self._payload(job)))
+            retry = self._absorb(job, _run_worker(
+                self._payload(job), self.tracer, self.metrics))
             if retry is not None:
                 queue.append(retry)
 

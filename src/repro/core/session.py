@@ -2,10 +2,11 @@
 
 A long PMRace campaign must survive the same faults it hunts for: a
 SIGKILL anywhere in a run used to lose every in-flight result, the
-merged corpus, and the pending validation queue. This module gives any
-fuzzing run — single-box ``repro fuzz`` or the parallel service — a
-durable **session directory** with crash-consistency guarantees built
-from the same primitives the tool tests targets for:
+merged corpus, and the pending validation queue. This module gives a
+fuzzing run of the parallel service (which drives both ``repro fuzz``
+and ``fuzz-parallel``) a durable **session directory** with
+crash-consistency guarantees built from the same primitives the tool
+tests targets for:
 
 ``<session-dir>/``
     ``MANIFEST.json``    versioned identity: target, kind, seeds, and a
@@ -58,7 +59,7 @@ from ..detect.records import (
     SyncInconsistencyRecord,
     Verdict,
 )
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import NULL_TRACER, jsonable
 
 #: Bump when the manifest / journal / checkpoint layout changes; a
 #: session written by another version refuses to resume.
@@ -342,32 +343,17 @@ class ImageStore:
 # RunResult <-> checkpoint document
 
 
-def _plain(value):
-    """Collapse tainted-int subclasses / tuples into JSON-safe values."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    return str(value)
-
-
 def _candidate_to_doc(candidate):
     return {
-        "candidate_id": _plain(candidate.candidate_id),
-        "addr": _plain(candidate.addr),
-        "size": _plain(candidate.size),
+        "candidate_id": jsonable(candidate.candidate_id),
+        "addr": jsonable(candidate.addr),
+        "size": jsonable(candidate.size),
         "read_instr": candidate.read_instr,
         "write_instr": candidate.write_instr,
-        "reader_tid": _plain(candidate.reader_tid),
-        "writer_tid": _plain(candidate.writer_tid),
-        "stack": _plain(list(candidate.stack or ())),
-        "seq": _plain(candidate.seq),
+        "reader_tid": jsonable(candidate.reader_tid),
+        "writer_tid": jsonable(candidate.writer_tid),
+        "stack": jsonable(list(candidate.stack or ())),
+        "seq": jsonable(candidate.seq),
     }
 
 
@@ -408,20 +394,20 @@ def record_to_doc(record, images):
         doc["type"] = "inconsistency"
         doc["candidate"] = _candidate_to_doc(record.candidate)
         doc["side_effect_instr"] = record.side_effect_instr
-        doc["side_effect_addr"] = _plain(record.side_effect_addr)
-        doc["side_effect_size"] = _plain(record.side_effect_size)
+        doc["side_effect_addr"] = jsonable(record.side_effect_addr)
+        doc["side_effect_size"] = jsonable(record.side_effect_size)
         doc["address_flow"] = bool(record.address_flow)
-        doc["stack"] = _plain(list(record.stack or ()))
+        doc["stack"] = jsonable(list(record.stack or ()))
         return doc
     if isinstance(record, SyncInconsistencyRecord):
         doc["type"] = "sync"
         doc["annotation_name"] = record.annotation_name
-        doc["addr"] = _plain(record.addr)
-        doc["size"] = _plain(record.size)
-        doc["init_val"] = _plain(record.init_val)
-        doc["new_value"] = _plain(record.new_value)
+        doc["addr"] = jsonable(record.addr)
+        doc["size"] = jsonable(record.size)
+        doc["init_val"] = jsonable(record.init_val)
+        doc["new_value"] = jsonable(record.new_value)
         doc["instr_id"] = record.instr_id
-        doc["stack"] = _plain(list(record.stack or ()))
+        doc["stack"] = jsonable(list(record.stack or ()))
         return doc
     raise TypeError("cannot checkpoint %r" % (record,))
 
@@ -451,7 +437,6 @@ def record_from_doc(doc, images):
 def result_to_doc(result, images):
     """The full merged :class:`~repro.core.engine.RunResult` as a
     JSON-safe checkpoint document (images stored via ``images``)."""
-    from .engine import HangRecord  # noqa: F401  (doc symmetry)
     return {
         "version": SESSION_SCHEMA_VERSION,
         "target": result.target_name,
@@ -462,22 +447,22 @@ def result_to_doc(result, images):
         "verdict_upgrades": result.verdict_upgrades,
         "first_inter_time": result.first_inter_time,
         "first_candidate_time": result.first_candidate_time,
-        "coverage_timeline": [_plain(list(point))
+        "coverage_timeline": [jsonable(list(point))
                               for point in result.coverage_timeline],
-        "inter_hit_times": [_plain(list(point))
+        "inter_hit_times": [jsonable(list(point))
                             for point in result.inter_hit_times],
         "candidates": [_candidate_to_doc(c) for c in result.candidates],
         "inconsistencies": [record_to_doc(r, images)
                             for r in result.inconsistencies],
         "sync_inconsistencies": [record_to_doc(r, images)
                                  for r in result.sync_inconsistencies],
-        "hangs": [{"blocked": _plain([list(pair) for pair in h.blocked]),
-                   "seed_id": _plain(h.seed_id)} for h in result.hangs],
-        "corpus_seeds": _plain(result.corpus_seeds),
+        "hangs": [{"blocked": jsonable([list(pair) for pair in h.blocked]),
+                   "seed_id": jsonable(h.seed_id)} for h in result.hangs],
+        "corpus_seeds": jsonable(result.corpus_seeds),
         "worker_stats": [stats.to_dict() for stats in result.worker_stats],
-        "profile": _plain(result.profile),
+        "profile": jsonable(result.profile),
         "pending_validation": [
-            {"kind": r.kind, "key": _plain(list(r.dedup_key())),
+            {"kind": r.kind, "key": jsonable(list(r.dedup_key())),
              "image": None if r.crash_image is None
              else ImageStore.ref_for(r.crash_image)}
             for r in list(result.inconsistencies)
@@ -488,55 +473,42 @@ def result_to_doc(result, images):
 
 def result_from_doc(doc, images, config, target_name=None):
     """Rebuild a merged RunResult (dedup maps included) from a
-    checkpoint document."""
+    checkpoint document: the loaded findings are folded into a fresh
+    result through :meth:`~repro.core.engine.RunResult.merge`, the one
+    place that indexes candidates, records and hangs."""
     from .engine import HangRecord, RunResult
+    from .parallel import WorkerStats
     if doc.get("version") != SESSION_SCHEMA_VERSION:
         raise SessionError("unsupported checkpoint version %r"
                            % (doc.get("version"),))
-    result = RunResult(target_name or doc["target"], config)
-    result.campaigns = doc.get("campaigns", 0)
-    result.duration = doc.get("duration", 0.0)
-    result.op_errors = doc.get("op_errors", 0)
-    result.annotation_count = doc.get("annotation_count", 0)
-    result.verdict_upgrades = doc.get("verdict_upgrades", 0)
-    result.first_inter_time = doc.get("first_inter_time")
-    result.first_candidate_time = doc.get("first_candidate_time")
-    result.coverage_timeline = [tuple(point) for point in
+    name = target_name or doc["target"]
+    loaded = RunResult(name, config)
+    loaded.campaigns = doc.get("campaigns", 0)
+    loaded.duration = doc.get("duration", 0.0)
+    loaded.op_errors = doc.get("op_errors", 0)
+    loaded.annotation_count = doc.get("annotation_count", 0)
+    loaded.verdict_upgrades = doc.get("verdict_upgrades", 0)
+    loaded.first_inter_time = doc.get("first_inter_time")
+    loaded.first_candidate_time = doc.get("first_candidate_time")
+    loaded.coverage_timeline = [tuple(point) for point in
                                 doc.get("coverage_timeline", [])]
-    result.inter_hit_times = [tuple(point) for point in
+    loaded.inter_hit_times = [tuple(point) for point in
                               doc.get("inter_hit_times", [])]
-    for cdoc in doc.get("candidates", []):
-        candidate = _candidate_from_doc(cdoc)
-        key = (candidate.read_instr, candidate.write_instr,
-               candidate.cross_thread)
-        if key not in result._candidate_keys:
-            result._candidate_keys.add(key)
-            result.candidates.append(candidate)
-    for rdoc in doc.get("inconsistencies", []):
-        record = record_from_doc(rdoc, images)
-        key = record.dedup_key()
-        if key not in result._inconsistency_keys:
-            result._inconsistency_keys[key] = record
-            result.inconsistencies.append(record)
-    for rdoc in doc.get("sync_inconsistencies", []):
-        record = record_from_doc(rdoc, images)
-        key = record.dedup_key()
-        if key not in result._sync_keys:
-            result._sync_keys[key] = record
-            result.sync_inconsistencies.append(record)
-    for hdoc in doc.get("hangs", []):
-        hang = HangRecord([tuple(pair) for pair in hdoc["blocked"]],
-                          hdoc.get("seed_id"))
-        if hang.signature() not in result._hang_signatures:
-            result._hang_signatures.add(hang.signature())
-            result.hangs.append(hang)
-    result.corpus_seeds = doc.get("corpus_seeds", [])
-    from .parallel import WorkerStats
-    result.worker_stats = [WorkerStats.from_dict(sdoc)
+    loaded.candidates = [_candidate_from_doc(cdoc)
+                         for cdoc in doc.get("candidates", [])]
+    loaded.inconsistencies = [record_from_doc(rdoc, images)
+                              for rdoc in doc.get("inconsistencies", [])]
+    loaded.sync_inconsistencies = [
+        record_from_doc(rdoc, images)
+        for rdoc in doc.get("sync_inconsistencies", [])]
+    loaded.hangs = [HangRecord([tuple(pair) for pair in hdoc["blocked"]],
+                               hdoc.get("seed_id"))
+                    for hdoc in doc.get("hangs", [])]
+    loaded.corpus_seeds = doc.get("corpus_seeds", [])
+    loaded.worker_stats = [WorkerStats.from_dict(sdoc)
                            for sdoc in doc.get("worker_stats", [])]
-    result.profile = doc.get("profile", {})
-    result._regroup()
-    return result
+    loaded.profile = doc.get("profile", {})
+    return RunResult(name, config).merge(loaded)
 
 
 def result_fingerprint(result):
@@ -544,7 +516,7 @@ def result_fingerprint(result):
     compare: verdict per dedup key, hang signatures, corpus digests,
     and the total campaign count."""
     verdicts = sorted(
-        (list(_plain(list(r.dedup_key()))), r.verdict.value)
+        (list(jsonable(list(r.dedup_key()))), r.verdict.value)
         for r in list(result.inconsistencies)
         + list(result.sync_inconsistencies))
     return {
@@ -558,7 +530,7 @@ def result_fingerprint(result):
 
 def config_digest(config):
     """Stable digest over the behaviour-shaping config fields."""
-    payload = {field: _plain(getattr(config, field, None))
+    payload = {field: jsonable(getattr(config, field, None))
                for field in CONFIG_DIGEST_FIELDS}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha1(text.encode("utf-8")).hexdigest()
@@ -859,73 +831,3 @@ class SignalGuard:
             except ValueError:
                 pass
         return False
-
-
-# ----------------------------------------------------------------------
-# single-box session runner (the ``repro fuzz --session-dir`` path)
-
-
-def run_fuzz_session(target, config, seeds, session, tracer=None,
-                     metrics=None):
-    """Fuzz ``target`` one engine session per seed under ``session``.
-
-    Work units are whole engine sessions (one per seed, ``worker_id`` =
-    seed index): a unit that was journaled/checkpointed is skipped on
-    resume, remaining units run fresh, and every completion writes
-    checkpoint-then-journal. SIGINT/SIGTERM anywhere — including inside
-    the fuzz loop or a validation drain — stops at the interrupt, writes
-    a final checkpoint of everything merged so far, and reports the
-    signal; the merged result is returned either way as
-    ``(result, interrupted_signum)``.
-    """
-    import copy
-
-    from ..targets.registry import make_target
-    from .engine import PMRace, PMRaceConfig, RunResult
-
-    tracer = tracer if tracer is not None else NULL_TRACER
-    base_config = config if config is not None else PMRaceConfig()
-    target_name = target if isinstance(target, str) else target.NAME
-    merged = session.load_checkpoint(copy.deepcopy(base_config))
-    done = session.done_units()
-    if session.resumed:
-        skipped = [i for i, _ in enumerate(seeds) if i in done]
-        tracer.emit("session_resume", dir=session.directory,
-                    skipped_units=len(skipped),
-                    torn_lines=session.journal_torn_lines)
-        if metrics is not None:
-            metrics.counter("session.resume.skipped").inc(len(skipped))
-    interrupted = None
-    units = set(done)
-    with SignalGuard() as guard:
-        try:
-            for index, seed in enumerate(seeds):
-                if index in done:
-                    continue
-                cfg = copy.deepcopy(base_config)
-                cfg.base_seed = seed
-                instance = make_target(target) \
-                    if isinstance(target, str) else target
-                result = PMRace(instance, cfg, tracer=tracer,
-                                metrics=metrics).run()
-                if merged is None:
-                    merged = result
-                else:
-                    merged.merge(result)
-                units.add(index)
-                session.write_checkpoint(merged, units)
-                session.record_unit(index, seed, 0, "ok",
-                                    result.campaigns)
-        except SessionInterrupted as exc:
-            interrupted = exc.signum
-        except KeyboardInterrupt:
-            interrupted = signal.SIGINT
-    if merged is None:
-        merged = RunResult(target_name, copy.deepcopy(base_config))
-    if interrupted is None:
-        session.revalidate_pending(merged,
-                                   whitelist=base_config.whitelist)
-    session.write_checkpoint(merged, units, final=interrupted is None,
-                             interrupted=interrupted)
-    merged.interrupted = interrupted
-    return merged, interrupted

@@ -271,15 +271,14 @@ def _validate_chunk(payload):
     """
     target_name, whitelist_entries, indexed_records, target_modules = \
         payload
-    from ..targets.registry import load_target_modules, make_target
+    from ..targets.registry import load_target_modules
 
     if target_modules:
         # Re-register plugin targets in this worker interpreter before
         # resolving the target by name.
         load_target_modules(target_modules)
-    validator = PostFailureValidator(
-        lambda: make_target(target_name), Whitelist(whitelist_entries))
-    queue = ValidationQueue(validator)
+    queue = make_validation_queue(target_name,
+                                  whitelist=Whitelist(whitelist_entries))
     records = [record for _index, record in indexed_records]
     for record in records:
         queue.enqueue(record)
@@ -290,21 +289,21 @@ def _validate_chunk(payload):
 
 
 def validate_records_parallel(target_name, records, whitelist=None,
-                              jobs=2, metrics=None, target_modules=()):
+                              jobs=2, tracer=None, metrics=None,
+                              target_modules=()):
     """Validate ``records`` with a pool of ``jobs`` worker processes.
 
     Records are partitioned by crash-image digest (imageless records
     round-robin), so each unique image is replayed in exactly one
     worker and the per-worker digest cache stays effective. Verdicts
     and notes are copied back onto the caller's record objects; the
-    merged per-worker cache stats are returned as one dict.
+    merged per-worker cache stats are returned as one dict. With one
+    job (or one record) everything runs in-process, and only there do
+    ``tracer`` events (drains, verdicts) reach the caller.
     """
     if jobs <= 1 or len(records) <= 1:
-        from ..targets.registry import make_target
-
-        validator = PostFailureValidator(
-            lambda: make_target(target_name), whitelist, metrics=metrics)
-        queue = ValidationQueue(validator, metrics=metrics)
+        queue = make_validation_queue(target_name, whitelist=whitelist,
+                                      tracer=tracer, metrics=metrics)
         for record in records:
             queue.enqueue(record)
         queue.drain()

@@ -54,14 +54,17 @@ EVENT_TYPES = frozenset({
 REQUIRED_FIELDS = ("type", "t", "seq")
 
 
-def _jsonable(value):
-    """Best-effort conversion of event field values to JSON-safe types."""
+def jsonable(value):
+    """Best-effort conversion to JSON-safe types: trace event fields and
+    session checkpoint documents both go through it. Sets become sorted
+    lists, tuples lists, tainted ints plain ints, and anything else its
+    ``str``."""
     if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
+        return sorted(jsonable(v) for v in value)
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (str, bool)) or value is None:
         return value
     if isinstance(value, (int, float)):
@@ -161,7 +164,7 @@ class Tracer(NullTracer):
                   "t": round(time.monotonic() - self._t0, 6),
                   "seq": self._seq}
         for key, value in fields.items():
-            record[key] = _jsonable(value)
+            record[key] = jsonable(value)
         self._seq += 1
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
 

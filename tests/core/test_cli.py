@@ -4,8 +4,22 @@ import json
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import build_parser, main
-from repro.obs import read_trace
+from repro.core import PMRace
+from repro.core.session import result_fingerprint
+from repro.obs import Tracer, read_trace, summarize_path
+from repro.targets import make_target
+
+
+def _cli_result(monkeypatch, argv):
+    """Run ``repro <argv>`` (exit 0) and return its merged RunResult."""
+    results = []
+    real = cli._print_findings
+    monkeypatch.setattr(cli, "_print_findings", lambda result, args: (
+        results.append(result), real(result, args)))
+    assert main(argv) == 0
+    return results[-1]
 
 
 class TestParser:
@@ -109,6 +123,31 @@ class TestCommands:
         assert [w["seed"] for w in payload["workers"]] == [7, 13]
         assert all(w["status"] == "ok" for w in payload["workers"])
 
+    def test_fuzz_equals_inprocess_fuzz_parallel(self, capsys,
+                                                 monkeypatch):
+        """``fuzz`` and ``fuzz-parallel --processes 1`` share one code path."""
+        flags = ["pmring", "--campaigns", "20", "--seeds", "7", "13"]
+        serial = _cli_result(monkeypatch, ["fuzz"] + flags)
+        pooled = _cli_result(monkeypatch, ["fuzz-parallel"] + flags
+                             + ["--processes", "1"])
+        assert serial.campaigns == 40
+        assert result_fingerprint(serial) == result_fingerprint(pooled)
+
+    @pytest.mark.parametrize("command", ["fuzz", "validate"])
+    def test_fuzz_seed_failure_exits_1(self, command, capsys, monkeypatch):
+        """No retries under ``fuzz``: a raising seed fails the command."""
+        import repro.core.parallel as parallel
+
+        def broken(name):
+            raise RuntimeError("broken target")
+
+        monkeypatch.setattr(parallel, "make_target", broken)
+        assert main([command, "pmring", "--campaigns", "4",
+                     "--seeds", "7"]) == 1
+        err = capsys.readouterr().err
+        assert "no retry budget left" in err
+        assert "RuntimeError: broken target" in err
+
     def test_fuzz_parallel_unknown_target(self, capsys):
         assert main(["fuzz-parallel", "redis"]) == 2
         assert "unknown target" in capsys.readouterr().err
@@ -150,6 +189,30 @@ class TestObservability:
         out = capsys.readouterr().out
         assert "observability stats" in out
         assert "coverage growth" in out
+
+    def test_stats_on_fuzz_trace_match_engine_sessions(self, capsys,
+                                                        tmp_path):
+        """``repro stats`` on a ``repro fuzz`` trace reports what the
+        per-seed engine sessions report on their own; the service adds
+        only its ``worker`` records."""
+        argv = ["fuzz", "pmring", "--campaigns", "8", "--seeds", "7", "13"]
+        direct = tmp_path / "direct.jsonl"
+        config = cli._make_config(build_parser().parse_args(argv))
+        with Tracer(str(direct)) as tracer:
+            for seed in (7, 13):
+                config.base_seed = seed
+                PMRace(make_target("pmring"), config, tracer=tracer).run()
+        trace = tmp_path / "trace.jsonl"
+        assert main(argv + ["--trace-out", str(trace)]) == 0
+        capsys.readouterr()
+        want, got = summarize_path(str(direct)), summarize_path(str(trace))
+        for field in ("runs", "campaigns", "coverage", "candidates",
+                      "inconsistencies", "verdicts"):
+            assert got[field] == want[field], field
+        assert got["runs"] == 2
+        extra = dict(got["events_by_type"])
+        assert extra.pop("worker") == 2
+        assert extra == want["events_by_type"]
 
     def test_stats_rejects_garbage(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -1,8 +1,8 @@
-"""Additional engine tests: budgets, merging, fuzz_target."""
+"""Additional engine tests: budgets, merging, multi-seed runs."""
 
 import pytest
 
-from repro.core import PMRace, PMRaceConfig, fuzz_target
+from repro.core import PMRace, PMRaceConfig, fuzz_parallel
 from repro.detect import Verdict
 
 from .toy_target import ToyTarget
@@ -66,21 +66,23 @@ class TestMerge:
 
 
 class TestFuzzTarget:
+    """Serial multi-seed runs: ``fuzz_parallel`` with ``processes=1``."""
+
     def test_multiple_seeds_merged(self):
-        result = fuzz_target(ToyTarget(),
-                             PMRaceConfig(max_campaigns=8, max_seeds=3),
-                             seeds=(1, 2, 3))
+        result = fuzz_parallel(ToyTarget,
+                               PMRaceConfig(max_campaigns=8, max_seeds=3),
+                               seeds=(1, 2, 3), processes=1)
         assert result.campaigns == 24
 
     def test_config_not_mutated(self):
         config = PMRaceConfig(max_campaigns=5, max_seeds=2, base_seed=99)
-        fuzz_target(ToyTarget(), config, seeds=(1,))
+        fuzz_parallel(ToyTarget, config, seeds=(1,), processes=1)
         assert config.base_seed == 99
 
     def test_default_config(self):
-        result = fuzz_target(ToyTarget(),
-                             PMRaceConfig(max_campaigns=3, max_seeds=2),
-                             seeds=(5,))
+        result = fuzz_parallel(ToyTarget,
+                               PMRaceConfig(max_campaigns=3, max_seeds=2),
+                               seeds=(5,), processes=1)
         assert result.campaigns == 3
 
 

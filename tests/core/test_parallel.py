@@ -177,23 +177,32 @@ class TestFaultTolerance:
 
 class TestMergeIsolation:
     def test_worker_results_never_mutated(self):
-        """Merging folds into a fresh result; the sources are untouched."""
+        """Merging folds into a fresh result; the sources are untouched,
+        including two same-seed sessions whose retained corpora overlap
+        (as do retries re-seeded from the shared corpus)."""
         from repro.core import PMRace
         a = PMRace(ToyTarget(), small_config(base_seed=1)).run()
         b = PMRace(ToyTarget(), small_config(base_seed=2)).run()
+        twin = PMRace(ToyTarget(), small_config(base_seed=1)).run()
         before = (a.campaigns, a.duration, len(a.candidates),
                   len(a.inconsistencies), len(a.sync_inconsistencies),
                   len(a.coverage_timeline), a.config.base_seed,
                   len(a.bug_reports))
+        corpora = copy.deepcopy((a.corpus_seeds, twin.corpus_seeds))
+        assert {e["digest"] for e in a.corpus_seeds} & \
+            {e["digest"] for e in twin.corpus_seeds}
         merged = RunResult(a.target_name, small_config())
         merged.merge(a)
         merged.merge(b)
+        merged.merge(twin)
         after = (a.campaigns, a.duration, len(a.candidates),
                  len(a.inconsistencies), len(a.sync_inconsistencies),
                  len(a.coverage_timeline), a.config.base_seed,
                  len(a.bug_reports))
         assert before == after
-        assert merged.campaigns == a.campaigns + b.campaigns
+        assert (a.corpus_seeds, twin.corpus_seeds) == corpora
+        assert merged.campaigns == a.campaigns + b.campaigns \
+            + twin.campaigns
 
     def test_merged_config_claims_no_worker_seed(self):
         config = small_config(base_seed=99)
@@ -210,7 +219,7 @@ class TestMergeIsolation:
         seen = []
 
         class SpyPMRace:
-            def __init__(self, target, cfg):
+            def __init__(self, target, cfg, tracer=None, metrics=None):
                 self.cfg = cfg
                 seen.append(cfg)
 

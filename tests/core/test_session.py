@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.core import PMRaceConfig
+from repro.core import PMRaceConfig, fuzz_parallel
 from repro.core.session import (
     FAULT_ENV,
     FaultInjector,
@@ -26,7 +26,6 @@ from repro.core.session import (
     result_fingerprint,
     result_from_doc,
     result_to_doc,
-    run_fuzz_session,
 )
 
 
@@ -43,11 +42,16 @@ def open_session(directory, seeds=(7, 13), config=None, **kwargs):
                         **kwargs)
 
 
+def fuzz_session(session, seeds=(7, 13), config=None):
+    """``repro fuzz --session-dir``: one in-process session per seed."""
+    return fuzz_parallel("pmring", config or small_config(), seeds=seeds,
+                         processes=1, max_retries=0, session=session)
+
+
 def run_session(directory, seeds=(7, 13), config=None, session=None):
     session = session or open_session(directory, seeds, config)
-    result, interrupted = run_fuzz_session(
-        "pmring", config or small_config(), seeds, session)
-    assert interrupted is None
+    result = fuzz_session(session, seeds, config)
+    assert result.interrupted is None
     return session, result
 
 
@@ -260,10 +264,8 @@ class TestFaultContainment:
         bit-for-bit."""
         fault = FaultInjector(["checkpoint_write:enospc:2"])
         session = open_session(tmp_path, fault=fault)
-        config = small_config()
-        result, interrupted = run_fuzz_session("pmring", config, (7, 13),
-                                               session)
-        assert interrupted is None
+        result = fuzz_session(session)
+        assert result.interrupted is None
         assert session.write_errors >= 1
         doc = json.loads(open(session.checkpoint_path).read())
         # Write 2 (the unit-1 checkpoint) hit ENOSPC and was dropped;
@@ -276,7 +278,7 @@ class TestFaultContainment:
         fault = FaultInjector(["checkpoint_write:torn:2"])
         session = open_session(tmp_path, fault=fault)
         with pytest.raises(InjectedFault):
-            run_fuzz_session("pmring", small_config(), (7, 13), session)
+            fuzz_session(session)
         # The process "died" mid-unit-1-checkpoint: the committed file
         # still holds the complete unit-0 checkpoint.
         resumed = open_session(tmp_path, resume=True)
@@ -290,19 +292,17 @@ class TestFaultContainment:
         fault = FaultInjector(["journal_append:crash:2"])
         chaos = open_session(tmp_path / "chaos", fault=fault)
         with pytest.raises(InjectedFault):
-            run_fuzz_session("pmring", small_config(), (7, 13), chaos)
+            fuzz_session(chaos)
         resumed = open_session(tmp_path / "chaos", resume=True)
-        result, interrupted = run_fuzz_session(
-            "pmring", small_config(), (7, 13), resumed, )
-        assert interrupted is None
+        result = fuzz_session(resumed)
+        assert result.interrupted is None
         assert result_fingerprint(result) == result_fingerprint(golden)
 
     def test_resume_skips_finished_units(self, tmp_path):
         session, first = run_session(tmp_path)
         resumed = open_session(tmp_path, resume=True)
-        again, interrupted = run_fuzz_session(
-            "pmring", small_config(), (7, 13), resumed)
-        assert interrupted is None
+        again = fuzz_session(resumed)
+        assert again.interrupted is None
         # Nothing re-ran: campaigns did not double.
         assert again.campaigns == first.campaigns
         assert result_fingerprint(again) == result_fingerprint(first)

@@ -7,7 +7,7 @@ expected bug classes are reported with the right verdicts.
 
 import pytest
 
-from repro.core import PMRace, PMRaceConfig, fuzz_target
+from repro.core import PMRaceConfig, fuzz_parallel
 from repro.core.results import expected_bugs_for, match_expected
 from repro.detect import Verdict
 from repro.targets import (
@@ -22,33 +22,34 @@ from repro.targets import (
 def fuzz(target, campaigns=70, seeds=(7, 13), **overrides):
     options = {"max_campaigns": campaigns, "max_seeds": 16}
     options.update(overrides)
-    return fuzz_target(target, PMRaceConfig(**options), seeds=seeds)
+    return fuzz_parallel(target, PMRaceConfig(**options), seeds=seeds,
+                         processes=1)
 
 
 @pytest.fixture(scope="module")
 def pclht_result():
-    return fuzz(PclhtTarget())
+    return fuzz(PclhtTarget)
 
 
 @pytest.fixture(scope="module")
 def cceh_result():
-    return fuzz(CcehTarget())
+    return fuzz(CcehTarget)
 
 
 @pytest.fixture(scope="module")
 def clevel_result():
-    return fuzz(ClevelTarget())
+    return fuzz(ClevelTarget)
 
 
 @pytest.fixture(scope="module")
 def fastfair_result():
-    return fuzz(FastFairTarget(), campaigns=110, max_seeds=22,
+    return fuzz(FastFairTarget, campaigns=110, max_seeds=22,
                 seeds=(7, 42))
 
 
 @pytest.fixture(scope="module")
 def memcached_result():
-    return fuzz(MemcachedTarget())
+    return fuzz(MemcachedTarget)
 
 
 class TestPclht:

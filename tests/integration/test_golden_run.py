@@ -11,7 +11,7 @@ numbers.
 
 from collections import Counter
 
-from repro.core.engine import PMRaceConfig, fuzz_target
+from repro.core import PMRaceConfig, fuzz_parallel
 from repro.detect.records import Verdict
 
 from ..core.toy_target import COUNTER, LOCK, MIRROR, SHADOW, ToyTarget
@@ -21,9 +21,9 @@ CAMPAIGNS_PER_SEED = 12
 
 
 def golden_run():
-    return fuzz_target(ToyTarget(),
-                       PMRaceConfig(max_campaigns=CAMPAIGNS_PER_SEED),
-                       seeds=SEEDS)
+    return fuzz_parallel(ToyTarget,
+                         PMRaceConfig(max_campaigns=CAMPAIGNS_PER_SEED),
+                         seeds=SEEDS, processes=1)
 
 
 class TestGoldenRun:

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.core.engine import PMRaceConfig, fuzz_target
+from repro.core import PMRaceConfig, fuzz_parallel
 
 from ..core.toy_target import ToyTarget
 
@@ -32,7 +32,7 @@ MAX_OVERHEAD = 0.05
 def execs_per_sec(profile):
     config = PMRaceConfig(max_campaigns=CAMPAIGNS, profile=profile)
     start = time.perf_counter()
-    result = fuzz_target(ToyTarget(), config, seeds=(7,))
+    result = fuzz_parallel(ToyTarget, config, seeds=(7,), processes=1)
     elapsed = time.perf_counter() - start
     assert result.campaigns == CAMPAIGNS
     return result.campaigns / elapsed
@@ -62,7 +62,7 @@ def test_default_config_keeps_profiling_on():
     # the guard compares against profile=False, so make sure the
     # shipped default actually exercises the guarded path
     assert PMRaceConfig().profile is True
-    result = fuzz_target(ToyTarget(), PMRaceConfig(max_campaigns=2),
-                         seeds=(7,))
+    result = fuzz_parallel(ToyTarget, PMRaceConfig(max_campaigns=2),
+                           seeds=(7,), processes=1)
     assert result.profile["executions"] == 2
     assert result.profile["execs_per_sec"] > 0

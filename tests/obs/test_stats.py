@@ -82,7 +82,7 @@ class TestEndToEnd:
 
     @pytest.fixture(scope="class")
     def run_files(self, tmp_path_factory):
-        from repro.core.engine import PMRaceConfig, fuzz_target
+        from repro.core import PMRaceConfig, fuzz_parallel
 
         from ..core.toy_target import ToyTarget
 
@@ -90,8 +90,9 @@ class TestEndToEnd:
         trace_path = str(tmp / "trace.jsonl")
         metrics = Metrics()
         with Tracer(trace_path) as tracer:
-            fuzz_target(ToyTarget(), PMRaceConfig(max_campaigns=8),
-                        seeds=(7,), tracer=tracer, metrics=metrics)
+            fuzz_parallel(ToyTarget, PMRaceConfig(max_campaigns=8),
+                          seeds=(7,), processes=1, tracer=tracer,
+                          metrics=metrics)
         metrics_path = str(tmp / "metrics.jsonl")
         metrics.dump(metrics_path)
         return trace_path, metrics_path
