@@ -42,7 +42,8 @@ class RingLogInstance:
 
     def push(self, value):
         view = self.view
-        # persistent test-and-set lock
+        # persistent test-and-set lock; while it is held, park on the
+        # scheduler with a pure (uninstrumented) read of the lock word
         while True:
             if view.pool.read_u64(LOCK) == 0:
                 ok, _ = view.cas_u64(LOCK, 0, 1)
@@ -50,7 +51,8 @@ class RingLogInstance:
                     break
             if self.scheduler is None:
                 raise RuntimeError("lock leaked")
-            self.scheduler.yield_point("spin", "pm_lock:ring")
+            self.scheduler.park("spin", "pm_lock:ring",
+                                lambda: view.pool.read_u64(LOCK) != 0)
         head = view.load_u64(HEAD)
         slot = SLOTS + (int(head) % NUM_SLOTS) * 8
         view.store_u64(slot, value)

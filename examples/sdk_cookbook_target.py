@@ -57,7 +57,10 @@ class ToyLogInstance:
             if self.scheduler is None:
                 raise RuntimeError("toylog writer lock stuck outside the "
                                    "scheduler")
-            self.scheduler.yield_point("spin", "pm_lock:toylog_writer")
+            # Parked: the scheduler re-checks the lock word itself and
+            # wakes this thread only once it reads free.
+            self.scheduler.park("spin", "pm_lock:toylog_writer",
+                                lambda: view.pool.read_u64(LOCK) != 0)
 
     def append(self, value):
         view = self.view

@@ -86,16 +86,30 @@ class SyncPointController:
         site = self.callsites.name(instr_id) if self.callsites is not None \
             else instr_id
         reason = "cond_wait:%s" % site
-        spins = 0
+        scheduler = self.scheduler
+        start = thread.steps
+
+        def blocked():
+            # True while the loop below would only yield again: still
+            # waiting, and neither pitfall threshold fires yet. A pure
+            # read, so the scheduler can evaluate it for a parked thread.
+            spins = thread.steps - start
+            return (not self.signaled and self.enabled
+                    and not thread.bypass_sync
+                    and spins < self.some_block_threshold
+                    and not (spins >= self.all_block_threshold
+                             and scheduler.all_threads_blocked(
+                                 self.all_block_threshold // 2)))
+
         while not self.signaled and self.enabled and not thread.bypass_sync:
-            spins += 1
-            self.scheduler.yield_point("spin", reason)
+            scheduler.park("spin", reason, blocked)
+            spins = thread.steps - start
             if (spins >= self.all_block_threshold
-                    and self.scheduler.all_threads_blocked(
+                    and scheduler.all_threads_blocked(
                         self.all_block_threshold // 2)):
                 # Pitfall 2: every thread waits on a writer that does not
                 # exist; elect a privileged thread to break the tie.
-                live = [t for t in self.scheduler.threads
+                live = [t for t in scheduler.threads
                         if t.state.value != "done"]
                 chosen = self.rng.choice(live)
                 chosen.bypass_sync = True
@@ -120,6 +134,10 @@ class SyncPointController:
             return
         self.signaled = True
         self.signal_count += 1
-        # Stall the writer so readers run before the data is flushed.
-        for _ in range(self.writer_waiting):
-            self.scheduler.yield_point("op")
+        # Stall the writer so readers run before the data is flushed:
+        # writer_waiting op yields, taken as parked steps.
+        if self.writer_waiting > 0:
+            start = thread.steps
+            self.scheduler.park(
+                "op", None,
+                lambda: thread.steps - start < self.writer_waiting)

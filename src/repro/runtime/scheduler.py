@@ -7,9 +7,38 @@ Given the same policy seed and a deterministic program, the interleaving is
 fully reproducible — the property the fuzzer's execution tier relies on.
 
 Blocking primitives (locks, the sync-point ``cond_wait``) are spin loops
-over ``yield_point(kind="spin")``, so the scheduler can detect hangs the
-way §4.2.2's pitfalls describe: "some threads block" and "all threads
-block" conditions are spin-streak thresholds.
+over ``yield_point(kind="spin")``, written as :meth:`Scheduler.park`, so
+the scheduler can detect hangs the way §4.2.2's pitfalls describe: "some
+threads block" and "all threads block" conditions are spin-streak
+thresholds.
+
+Parked steps. A spinning thread that wakes only to find nothing changed
+and yield again costs an OS hand-off per step for no work. Such a thread
+calls :meth:`Scheduler.park` with the condition under which it would
+only yield again (``blocked``); the scheduler then takes those repeat
+yields on its behalf, without waking it. ``park(kind, reason, blocked)``
+is equivalent to ``yield_point(kind, reason)`` followed by
+``while blocked(): yield_point(kind, reason)``:
+
+* When the policy picks a parked thread ``T`` other than the caller,
+  the original ``T`` would wake, evaluate ``blocked()`` and, if true,
+  yield again. No other thread runs between the pick and that
+  evaluation, so the scheduler evaluates ``blocked()`` at the pick on
+  the same state ``T`` would see.
+* If it is true, the scheduler does ``T``'s yield step in place: the
+  same step counters, spin-streak and limit checks, ``policy.on_yield``
+  and successor pick, in the same order as :meth:`yield_point`. The
+  policy therefore sees the same calls with the same arguments, so
+  decision vectors, RNG draws, sleep-step decrements and hang/budget
+  outcomes are identical. An abort raised by such a step kills the
+  calling thread, and ``T`` dies at its own pending yield, as it would
+  have.
+* If it is false, ``T`` is woken as usual, finds ``blocked()`` false
+  and returns from ``park``, exactly where the loop would have exited.
+
+This holds only if ``blocked`` is a pure read of shared state: it runs
+on another OS thread, so it must not touch PM through instrumented
+accesses or call :meth:`Scheduler.current`.
 
 Hand-off is one binary lock per simulated thread used as a one-permit
 semaphore: the yielding thread releases the successor's lock (granting the
@@ -88,6 +117,10 @@ class Scheduler:
         self._live_threads = []
         self.steps = 0
         self.spin_steps = 0
+        #: OS wake-ups of a scheduled thread, and yield steps the
+        #: scheduler took for parked threads without waking them.
+        self.handoffs = 0
+        self.parked_steps = 0
         self._lock = threading.Lock()
         self._done = threading.Event()
         self._aborting = False
@@ -106,6 +139,8 @@ class Scheduler:
         thread = SimThread(self, len(self.threads), fn, name)
         thread._go = threading.Lock()
         thread._go.acquire()  # starts with no permit: parked until granted
+        #: ``(kind, reason, blocked)`` while the thread is inside park().
+        thread._parked = None
         self.threads.append(thread)
         self._live_threads.append(thread)
         return thread
@@ -126,6 +161,7 @@ class Scheduler:
             thread.start()
         first = self._pick(None)
         if first is not None:
+            self.handoffs += 1
             first._go.release()
         self._done.wait()
         for thread in self.threads:
@@ -138,6 +174,9 @@ class Scheduler:
             self.metrics.counter("scheduler.runs").inc()
             self.metrics.counter("scheduler.steps").inc(self.steps)
             self.metrics.counter("scheduler.spin_steps").inc(self.spin_steps)
+            self.metrics.counter("scheduler.handoffs").inc(self.handoffs)
+            self.metrics.counter("scheduler.parked_steps").inc(
+                self.parked_steps)
             self.metrics.counter(
                 "scheduler.outcome.%s" % self._outcome_status).inc()
             self.metrics.histogram("scheduler.steps_per_run").observe(
@@ -165,9 +204,11 @@ class Scheduler:
                 # _abort_locked already granted every thread its wake-up
                 # permit; granting again would double-release a raw lock.
                 return
-            nxt = self._pick_locked(thread)
-        if nxt is not None:
-            nxt._go.release()
+            nxt = self._next_locked(thread)
+            if nxt is None:
+                return  # a parked step ended the run
+            self.handoffs += 1
+        nxt._go.release()
 
     def yield_point(self, kind="op", reason=None):
         """Surrender the processor; returns when rescheduled.
@@ -183,38 +224,85 @@ class Scheduler:
         if self._aborting:
             raise ThreadKilled()
         with self._lock:
-            self.steps += 1
-            thread.steps += 1
-            if kind == "spin":
-                # Hang conditions can only *become* true at a spin yield
-                # (op yields reset the yielding thread's streak, and both
-                # threshold crossings happen on the crossing thread's own
-                # spin yield), so op yields check only the step budget.
-                thread.spin_streak += 1
-                self.spin_steps += 1
-                thread.blocked_reason = reason
-                self._check_limits_locked()
-            else:
-                thread.spin_streak = 0
-                thread.blocked_reason = None
-                if self.steps >= self.max_steps:
-                    self._abort_locked("budget")
-            if self._aborting:
+            if not self._step_locked(thread, kind, reason):
                 raise ThreadKilled()
-            self.policy.on_yield(self, thread, kind)
-            nxt = self._pick_locked(thread)
-        if nxt is thread or nxt is None:
-            return
+            nxt = self._next_locked(thread)
+            if nxt is None:
+                raise ThreadKilled()  # a parked step ended the run
+            if nxt is thread:
+                return
+            self.handoffs += 1
         nxt._go.release()
         thread._go.acquire()
         if self._aborting:
             raise ThreadKilled()
+
+    def park(self, kind, reason, blocked):
+        """``yield_point(kind, reason)``, then yield while ``blocked()``.
+
+        While the calling thread is parked here, other threads' yields
+        take its repeat yields for it instead of waking it (see the
+        module docstring). ``blocked`` must be a pure read: it runs on
+        whichever OS thread picks this one.
+        """
+        thread = self.current()
+        if thread is not None:
+            thread._parked = (kind, reason, blocked)
+        try:
+            self.yield_point(kind, reason)
+            while blocked():
+                self.yield_point(kind, reason)
+        finally:
+            if thread is not None:
+                thread._parked = None
 
     # ------------------------------------------------------------------
     # internals
 
     def _live(self):
         return self._live_threads
+
+    def _step_locked(self, thread, kind, reason):
+        """Account one yield step of ``thread``; False if it aborted."""
+        self.steps += 1
+        thread.steps += 1
+        if kind == "spin":
+            # Hang conditions can only *become* true at a spin yield
+            # (op yields reset the yielding thread's streak, and both
+            # threshold crossings happen on the crossing thread's own
+            # spin yield), so op yields check only the step budget.
+            thread.spin_streak += 1
+            self.spin_steps += 1
+            thread.blocked_reason = reason
+            self._check_limits_locked()
+        else:
+            thread.spin_streak = 0
+            thread.blocked_reason = None
+            if self.steps >= self.max_steps:
+                self._abort_locked("budget")
+        if self._aborting:
+            return False
+        self.policy.on_yield(self, thread, kind)
+        return True
+
+    def _next_locked(self, caller):
+        """The thread to run after ``caller``'s step, or None.
+
+        A picked parked thread other than the caller whose ``blocked()``
+        still holds would only yield again: take that step here and
+        pick again. Returns None once no thread is live or a parked
+        step aborted the run.
+        """
+        nxt = self._pick_locked(caller)
+        while nxt is not caller and nxt is not None:
+            parked = nxt._parked
+            if parked is None or not parked[2]():
+                break
+            self.parked_steps += 1
+            if not self._step_locked(nxt, parked[0], parked[1]):
+                return None
+            nxt = self._pick_locked(nxt)
+        return nxt
 
     def _check_limits_locked(self):
         if self.steps >= self.max_steps:

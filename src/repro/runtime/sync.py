@@ -11,22 +11,24 @@ locks, CCEH segment locks).
 from .thread import ThreadKilled  # noqa: F401  (re-exported convenience)
 
 
-class SimLock:
-    """A DRAM spin lock driven by scheduler yield points.
+class _SpinPrimitive:
+    """Shared plumbing of the DRAM spin primitives.
 
     Because the scheduler serializes threads, test-and-set needs no real
-    atomicity — the loop simply yields while the lock is held, which also
-    feeds hang detection when an unlock is missing (P-CLHT bug 5).
+    atomicity: a contended acquire parks on the scheduler
+    (:meth:`~repro.runtime.scheduler.Scheduler.park`) with a pure
+    predicate over the primitive's fields, which also feeds hang
+    detection when an unlock is missing (P-CLHT bug 5). Without a
+    scheduler (single-threaded setup/recovery code) uncontended use
+    works and contention raises ``RuntimeError``.
     """
 
-    #: Sentinel holder for lock acquisition outside the scheduler
-    #: (single-threaded setup/recovery code).
+    #: Sentinel holder for acquisition outside the scheduler.
     _DRIVER = object()
 
-    def __init__(self, scheduler, name="lock"):
+    def __init__(self, scheduler, name):
         self.scheduler = scheduler
         self.name = name
-        self.holder = None
 
     def _me(self):
         if self.scheduler is None:
@@ -37,13 +39,30 @@ class SimLock:
         if self.scheduler is not None:
             self.scheduler.yield_point(kind, reason)
 
+    def _wait(self, reason, blocked):
+        """Spin-yield while ``blocked()`` holds; returns at once if not."""
+        if not blocked():
+            return
+        if self.scheduler is None:
+            raise RuntimeError(
+                "lock %s contended outside the scheduler" % self.name)
+        self.scheduler.park("spin", reason, blocked)
+
+
+class SimLock(_SpinPrimitive):
+    """A DRAM spin lock driven by scheduler yield points."""
+
+    def __init__(self, scheduler, name="lock"):
+        super().__init__(scheduler, name)
+        self.holder = None
+
     def acquire(self):
         me = self._me()
-        while self.holder is not None and self.holder is not me:
-            if self.scheduler is None:
-                raise RuntimeError(
-                    "lock %s contended outside the scheduler" % self.name)
-            self._yield("spin", "lock:%s" % self.name)
+
+        def held():
+            return self.holder is not None and self.holder is not me
+
+        self._wait("lock:%s" % self.name, held)
         self.holder = me
         self._yield("op")
 
@@ -65,36 +84,36 @@ class SimLock:
         return False
 
 
-class SimRWLock:
+class SimRWLock(_SpinPrimitive):
     """A DRAM reader-writer lock (write-preferring, spin-based)."""
 
     def __init__(self, scheduler, name="rwlock"):
-        self.scheduler = scheduler
-        self.name = name
+        super().__init__(scheduler, name)
         self.readers = 0
         self.writer = None
 
     def acquire_read(self):
-        while self.writer is not None:
-            self.scheduler.yield_point("spin", "rdlock:%s" % self.name)
+        self._wait("rdlock:%s" % self.name,
+                   lambda: self.writer is not None)
         self.readers += 1
-        self.scheduler.yield_point("op")
+        self._yield("op")
 
     def release_read(self):
         if self.readers <= 0:
-            raise RuntimeError("release_read without readers on %s" % self.name)
+            raise RuntimeError(
+                "release_read without readers on %s" % self.name)
         self.readers -= 1
-        self.scheduler.yield_point("op")
+        self._yield("op")
 
     def acquire_write(self):
-        me = self.scheduler.current()
-        while self.writer is not None or self.readers > 0:
-            self.scheduler.yield_point("spin", "wrlock:%s" % self.name)
+        me = self._me()
+        self._wait("wrlock:%s" % self.name,
+                   lambda: self.writer is not None or self.readers > 0)
         self.writer = me
-        self.scheduler.yield_point("op")
+        self._yield("op")
 
     def release_write(self):
         if self.writer is None:
             raise RuntimeError("release_write of unheld %s" % self.name)
         self.writer = None
-        self.scheduler.yield_point("op")
+        self._yield("op")

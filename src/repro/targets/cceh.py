@@ -48,13 +48,13 @@ def _seg_lock_acquire(view, scheduler, addr):
     """Acquire a persistent segment lock (CCEH.h:86 analog)."""
     while True:
         if view.pool.read_u64(int(addr)) == 0:
-            ok, _ = view.cas_u64(addr, 0, 1)
-            if ok:
+            if view.cas_u64(addr, 0, 1)[0]:
                 return
         if scheduler is None:
             raise RuntimeError("persistent segment lock stuck outside the "
                                "scheduler (leaked by a previous crash?)")
-        scheduler.yield_point("spin", "pm_lock:segment")
+        scheduler.park("spin", "pm_lock:segment",
+                       lambda: view.pool.read_u64(int(addr)) != 0)
 
 
 def _seg_lock_release(view, addr):

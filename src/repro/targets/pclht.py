@@ -66,14 +66,14 @@ def _pm_lock_acquire(view, scheduler, addr, name="lock"):
     """
     while True:
         if view.pool.read_u64(int(addr)) == 0:
-            ok, _ = view.cas_u64(addr, 0, 1)
-            if ok:
+            if view.cas_u64(addr, 0, 1)[0]:
                 return
         if scheduler is None:
             raise RuntimeError("persistent %s lock stuck outside the "
                                "scheduler (leaked by a previous crash?)"
                                % name)
-        scheduler.yield_point("spin", "pm_lock:%s" % name)
+        scheduler.park("spin", "pm_lock:%s" % name,
+                       lambda: view.pool.read_u64(int(addr)) != 0)
 
 
 def _pm_lock_release(view, addr):

@@ -88,13 +88,13 @@ class TxKvInstance:
         view = self.view
         while True:
             if view.pool.read_u64(self.root + R_WLOCK) == 0:
-                ok, _ = view.cas_u64(self.root + R_WLOCK, 0, 1)
-                if ok:
+                if view.cas_u64(self.root + R_WLOCK, 0, 1)[0]:
                     return
             if self.scheduler is None:
                 raise RuntimeError("txkv writer lock stuck outside the "
                                    "scheduler")
-            self.scheduler.yield_point("spin", "pm_lock:txkv_writer")
+            self.scheduler.park("spin", "pm_lock:txkv_writer", lambda: (
+                view.pool.read_u64(self.root + R_WLOCK) != 0))
 
     def _unlock(self):
         self.view.store_u64(self.root + R_WLOCK, 0)

@@ -116,7 +116,10 @@ class TestEndToEnd:
         summary = summarize_path(metrics_path)
         assert summary["metrics"]["pm.stores"]["value"] > 0
         assert summary["metrics"]["scheduler.runs"]["value"] > 0
-        render_stats(summary)  # must not raise
+        assert summary["metrics"]["scheduler.handoffs"]["value"] > 0
+        text = render_stats(summary)
+        assert "scheduler.handoffs" in text
+        assert "scheduler.parked_steps" in text
 
 
 class TestTornTail:

@@ -1,8 +1,12 @@
 """Scheduler tests: determinism, hang detection, budgets, errors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import (
+    DelayInjectionPolicy,
+    RecordingPolicy,
     RoundRobinPolicy,
     Scheduler,
     SeededRandomPolicy,
@@ -210,3 +214,194 @@ class TestDelaySleeping:
         assert scheduler.run().ok
         # runner makes progress while the sleeper is parked
         assert order.index("s-end") > order.index("r")
+
+
+# ----------------------------------------------------------------------
+# park(): parked steps must reproduce the explicit spin loop exactly
+
+def run_program(program, policy, mode, **limits):
+    """Run ``program`` (one instruction list per thread) on ``policy``.
+
+    Instructions: ``("op",)``, ``("lock", i)``, ``("unlock", i)``,
+    ``("set", f)``, ``("wait", f)`` (spin until flag ``f`` is set) and
+    ``("stall", n)`` (n op yields, like the sync-point writer wait).
+    ``mode`` is "park" (blocking via :meth:`Scheduler.park`) or "loop"
+    (the explicit ``yield_point`` loop park must be equivalent to).
+    Returns everything a schedule can be told apart by, plus the
+    scheduler.
+    """
+    recording = RecordingPolicy(policy)
+    scheduler = Scheduler(recording, **limits)
+    holders, flags, log = {}, set(), []
+
+    def wait(kind, reason, blocked):
+        if mode == "park":
+            scheduler.park(kind, reason, blocked)
+            return
+        scheduler.yield_point(kind, reason)
+        while blocked():
+            scheduler.yield_point(kind, reason)
+
+    def worker(tid, instructions):
+        thread = scheduler.current()
+        for pc, (op, *args) in enumerate(instructions):
+            log.append((tid, pc))
+            if op == "op":
+                scheduler.yield_point("op")
+            elif op == "lock":
+                lock = args[0]
+                held = lambda: holders.get(lock) is not None  # noqa: E731
+                if held():
+                    wait("spin", "lock:%d" % lock, held)
+                holders[lock] = tid
+                scheduler.yield_point("op")
+            elif op == "unlock":
+                holders[args[0]] = None
+                scheduler.yield_point("op")
+            elif op == "set":
+                flags.add(args[0])
+                scheduler.yield_point("op")
+            elif op == "wait":
+                flag = args[0]
+                if flag not in flags:
+                    wait("spin", "flag:%d" % flag,
+                         lambda: flag not in flags)
+            elif op == "stall":
+                start = thread.steps
+                wait("op", None, lambda: thread.steps - start < args[0])
+
+    for tid, instructions in enumerate(program):
+        scheduler.spawn(lambda tid=tid, ins=instructions: worker(tid, ins),
+                        "w%d" % tid)
+    outcome = scheduler.run()
+    fingerprint = (outcome.status, outcome.steps, outcome.blocked,
+                   scheduler.spin_steps, recording.decisions,
+                   [t.steps for t in scheduler.threads], log)
+    return fingerprint, scheduler
+
+
+def assert_equivalent(make_policy, program, **limits):
+    parked, park_sched = run_program(program, make_policy(), "park",
+                                     **limits)
+    looped, loop_sched = run_program(program, make_policy(), "loop",
+                                     **limits)
+    assert parked == looped
+    assert loop_sched.parked_steps == 0
+    return parked, park_sched
+
+
+#: Two threads contending for one lock while a third waits on a flag the
+#: second sets, with a writer-style stall after the set.
+CONTENDED = [
+    [("lock", 0), ("op",), ("op",), ("op",), ("unlock", 0), ("op",)],
+    [("lock", 0), ("op",), ("unlock", 0), ("set", 0), ("stall", 12),
+     ("op",)],
+    [("wait", 0), ("op",), ("lock", 0), ("unlock", 0)],
+]
+
+POLICIES = {
+    "seeded": lambda: SeededRandomPolicy(11),
+    "round-robin": RoundRobinPolicy,
+    "delay": lambda: DelayInjectionPolicy(11, delay_prob=0.5,
+                                          max_delay_steps=4),
+}
+
+
+class TestParkEquivalence:
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_lock_and_flag_program(self, policy):
+        fingerprint, scheduler = assert_equivalent(
+            POLICIES[policy], CONTENDED, spin_hang_limit=200)
+        assert fingerprint[0] == "ok"
+        assert scheduler.parked_steps > 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_many_seeds(self, seed):
+        assert_equivalent(lambda: SeededRandomPolicy(seed), CONTENDED,
+                          spin_hang_limit=200)
+
+    def test_hang_on_leaked_lock(self):
+        program = [[("lock", 0), ("op",)],
+                   [("op",), ("lock", 0)],
+                   [("wait", 3)]]
+        fingerprint, scheduler = assert_equivalent(
+            lambda: SeededRandomPolicy(3), program, spin_hang_limit=25,
+            thread_spin_limit=60)
+        status, _steps, blocked = fingerprint[:3]
+        assert status == "hang"
+        assert ("w1", "lock:0") in blocked and ("w2", "flag:3") in blocked
+        assert scheduler.parked_steps > 0
+
+    def test_budget_during_parked_steps(self):
+        program = [[("stall", 500)], [("wait", 0)], [("op",)] * 5]
+        fingerprint, scheduler = assert_equivalent(
+            lambda: DelayInjectionPolicy(5), program, max_steps=120,
+            spin_hang_limit=1000)
+        assert fingerprint[0] == "budget"
+        assert fingerprint[1] == 120
+        assert scheduler.parked_steps > 0
+
+    def test_counters_flushed_once_per_run(self):
+        from repro.obs.metrics import Metrics
+
+        metrics = Metrics()
+        scheduler = Scheduler(SeededRandomPolicy(1), metrics=metrics)
+        flag = []
+
+        def waiter():
+            scheduler.park("spin", "flag", lambda: not flag)
+
+        def setter():
+            for _ in range(20):
+                scheduler.yield_point("op")
+            flag.append(True)
+
+        scheduler.spawn(waiter)
+        scheduler.spawn(setter)
+        assert scheduler.run().ok
+        assert scheduler.parked_steps > 0
+        assert metrics.value("scheduler.parked_steps") == \
+            scheduler.parked_steps
+        assert metrics.value("scheduler.handoffs") == scheduler.handoffs
+        # every step is the caller's own, a parked one, or a handoff away
+        assert 0 < scheduler.handoffs <= scheduler.steps
+
+    def test_park_outside_simulation_runs_the_loop(self):
+        scheduler = Scheduler(RoundRobinPolicy())
+        calls = []
+
+        def blocked():
+            calls.append(None)
+            return len(calls) < 3
+
+        scheduler.park("spin", "driver", blocked)
+        assert len(calls) == 3 and scheduler.steps == 0
+
+
+def instruction_lists(n_locks=2, n_flags=2):
+    single = st.one_of(
+        st.just(("op",)),
+        st.tuples(st.just("set"), st.integers(0, n_flags - 1)),
+        st.tuples(st.just("wait"), st.integers(0, n_flags - 1)),
+        st.tuples(st.just("stall"), st.integers(1, 6)))
+    critical = st.builds(
+        lambda lock, body, leak: [("lock", lock)] + body
+        + ([] if leak else [("unlock", lock)]),
+        st.integers(0, n_locks - 1), st.lists(single, max_size=3),
+        st.booleans())
+    segments = st.lists(st.one_of(single.map(lambda i: [i]), critical),
+                        min_size=1, max_size=5)
+    return segments.map(lambda segs: [i for seg in segs for i in seg])
+
+
+@settings(max_examples=40, deadline=None)
+@given(program=st.lists(instruction_lists(), min_size=2, max_size=3),
+       policy=st.sampled_from(sorted(POLICIES)),
+       seed=st.integers(0, 2**16))
+def test_park_equivalence_on_random_programs(program, policy, seed):
+    make = {"seeded": lambda: SeededRandomPolicy(seed),
+            "round-robin": RoundRobinPolicy,
+            "delay": lambda: DelayInjectionPolicy(seed, delay_prob=0.4,
+                                                  max_delay_steps=3)}[policy]
+    assert_equivalent(make, program, max_steps=600, spin_hang_limit=20,
+                      thread_spin_limit=50)

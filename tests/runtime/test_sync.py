@@ -139,3 +139,59 @@ class TestSimRWLock:
         scheduler.spawn(worker)
         scheduler.run()
         assert len(errors) == 2
+
+    def test_waiting_writer_is_parked(self):
+        scheduler = make_scheduler()
+        rwlock = SimRWLock(scheduler, "rw")
+
+        def reader():
+            rwlock.acquire_read()
+            for _ in range(10):
+                scheduler.yield_point("op")
+            rwlock.release_read()
+
+        def writer():
+            scheduler.yield_point("op")
+            rwlock.acquire_write()
+            rwlock.release_write()
+
+        scheduler.spawn(reader)
+        scheduler.spawn(writer)
+        assert scheduler.run().ok
+        assert scheduler.parked_steps > 0
+
+
+class TestOutsideScheduler:
+    """Single-threaded setup/recovery code uses the locks without a
+    scheduler: uncontended use works, contention is a clear error."""
+
+    def test_lock_uncontended(self):
+        lock = SimLock(None, "m")
+        with lock:
+            assert lock.locked()
+        assert not lock.locked()
+
+    def test_rwlock_uncontended(self):
+        rwlock = SimRWLock(None, "rw")
+        rwlock.acquire_read()
+        rwlock.acquire_read()
+        assert rwlock.readers == 2
+        rwlock.release_read()
+        rwlock.release_read()
+        rwlock.acquire_write()
+        assert rwlock.writer is not None
+        rwlock.release_write()
+        assert rwlock.writer is None and rwlock.readers == 0
+
+    def test_rwlock_read_contended_by_writer(self):
+        rwlock = SimRWLock(None, "rw")
+        rwlock.acquire_write()
+        with pytest.raises(RuntimeError, match="rw contended outside"):
+            rwlock.acquire_read()
+
+    @pytest.mark.parametrize("hold", ["read", "write"])
+    def test_rwlock_write_contended(self, hold):
+        rwlock = SimRWLock(None, "rw")
+        getattr(rwlock, "acquire_" + hold)()
+        with pytest.raises(RuntimeError, match="rw contended outside"):
+            rwlock.acquire_write()
