@@ -61,7 +61,7 @@ PRE_PR_RAW_PER_S = 173_324
 
 def measure_fuzz():
     """Campaigns per second of one bounded toy-target fuzzing session."""
-    config = PMRaceConfig(max_campaigns=CAMPAIGNS, profile=False)
+    config = PMRaceConfig(max_campaigns=CAMPAIGNS)
     start = time.perf_counter()
     result = fuzz_parallel(ToyTarget, config, seeds=SEEDS, processes=1)
     elapsed = time.perf_counter() - start

@@ -1,18 +1,16 @@
-"""Observability overhead: execs/sec with the layer off, null, and on.
+"""Observability overhead: execs/sec with the layer null and recording.
 
-Three configurations fuzz the toy target with identical budgets:
+Two configurations fuzz the toy target with identical budgets:
 
-* ``off``   — ``profile=False``, no tracer, no metrics: the layer is
-  not even constructed (the no-observability baseline).
-* ``null``  — the shipped default: profiler on, tracer/metrics unset,
-  so hot paths pay one pre-bound ``is not None`` check per access.
+* ``null``  — the shipped default: tracer/metrics unset, so hot paths
+  pay one pre-bound ``is not None`` check per access.
 * ``full``  — tracer (to an in-memory sink) plus a live metrics
   registry: everything recording.
 
-The guard mirrors ``tests/obs/test_overhead.py``: the null path must
-stay within 5% of the off baseline. The full path is reported for
-context but only loosely bounded — recording everything is allowed to
-cost real time, it just must not be catastrophic.
+Recording everything is allowed to cost real time, so the full path is
+only loosely bounded: it must keep more than half the null path's
+throughput. A collapse below that would mean a hot-path hook regressed
+into per-access work.
 
 Runs standalone too: ``python benchmarks/bench_obs_overhead.py``.
 """
@@ -32,13 +30,11 @@ from conftest import emit
 from tests.core.toy_target import ToyTarget
 
 CAMPAIGNS = 40
-MIN_ROUNDS = 5
-MAX_ROUNDS = 15
-MAX_NULL_OVERHEAD = 0.05
+ROUNDS = 5
 
 
-def measure(profile, with_sinks=False):
-    config = PMRaceConfig(max_campaigns=CAMPAIGNS, profile=profile)
+def measure(with_sinks):
+    config = PMRaceConfig(max_campaigns=CAMPAIGNS)
     tracer = Tracer(io.StringIO()) if with_sinks else None
     metrics = Metrics() if with_sinks else None
     start = time.perf_counter()
@@ -50,43 +46,31 @@ def measure(profile, with_sinks=False):
 
 
 def run_overhead():
-    best = {"off": 0.0, "null": 0.0, "full": 0.0}
-    # interleave all three so machine-load drift is shared evenly;
-    # extend past MIN_ROUNDS only while noise keeps the null path
-    # outside its budget (best-of is monotone, so more rounds only
-    # sharpen the estimate)
-    for round_index in range(MAX_ROUNDS):
-        best["off"] = max(best["off"], measure(profile=False))
-        best["null"] = max(best["null"], measure(profile=True))
-        best["full"] = max(best["full"], measure(profile=True,
-                                                 with_sinks=True))
-        if round_index + 1 >= MIN_ROUNDS and \
-                best["null"] >= best["off"] * (1.0 - MAX_NULL_OVERHEAD):
-            break
+    best = {"null": 0.0, "full": 0.0}
+    # interleave both arms so machine-load drift is shared evenly
+    for _ in range(ROUNDS):
+        best["null"] = max(best["null"], measure(with_sinks=False))
+        best["full"] = max(best["full"], measure(with_sinks=True))
     return best
 
 
 def check_and_emit(best):
     rows = []
-    for name, label in (("off", "observability off (baseline)"),
-                        ("null", "null path (default)"),
+    for name, label in (("null", "null path (default)"),
                         ("full", "tracer + metrics recording")):
         rows.append({
             "configuration": label,
             "execs_per_s": "%.1f" % best[name],
-            "vs_baseline": "%+.1f%%" % (100 * (best[name] / best["off"] - 1)),
+            "vs_null": "%+.1f%%" % (100 * (best[name] / best["null"] - 1)),
         })
     text = render_table(
-        rows, ["configuration", "execs_per_s", "vs_baseline"],
+        rows, ["configuration", "execs_per_s", "vs_null"],
         title="Observability overhead (toy target, %d campaigns, "
-              "best of >=%d interleaved rounds)" % (CAMPAIGNS, MIN_ROUNDS))
+              "best of %d interleaved rounds)" % (CAMPAIGNS, ROUNDS))
     emit("obs_overhead", text)
-    null_overhead = 1.0 - best["null"] / best["off"]
-    assert null_overhead < MAX_NULL_OVERHEAD, \
-        "null path costs %.1f%%" % (100 * null_overhead)
     # full recording may cost time, but an order-of-magnitude collapse
     # would mean a hot-path hook regressed into per-access work
-    assert best["full"] > best["off"] * 0.5, best
+    assert best["full"] > best["null"] * 0.5, best
 
 
 def test_obs_overhead(benchmark):

@@ -56,10 +56,8 @@ def run_scaling():
     for processes in POOL_SIZES:
         merged, elapsed = measure(processes)
         # campaign counts and per-worker throughput both come from the
-        # engine's own profiling hooks (RunResult.profile) — the single
-        # source of truth — so the benchmark only supplies wall clock
-        profile = merged.profile
-        campaigns = profile.get("executions", merged.campaigns)
+        # merged RunResult, so the benchmark only supplies wall clock
+        campaigns = merged.campaigns
         throughput = campaigns / elapsed
         rows.append({
             "workers": processes,
@@ -68,7 +66,7 @@ def run_scaling():
             "campaigns_per_s": "%.2f" % throughput,
             # worker-side rate (executions over summed worker-local
             # durations): dips when the pool oversubscribes the cores
-            "worker_side_per_s": "%.2f" % profile.get("execs_per_sec", 0.0),
+            "worker_side_per_s": "%.2f" % merged.executions_per_second,
             "ok_workers": sum(s.status == "ok"
                               for s in merged.worker_stats),
             "_throughput": throughput,

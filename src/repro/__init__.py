@@ -41,7 +41,7 @@ from .detect import (
     scan_missing_flushes,
 )
 from .instrument import AnnotationRegistry, InstrumentationContext, PmView
-from .obs import Metrics, NullTracer, RunProfiler, Tracer
+from .obs import Metrics, NullTracer, Tracer
 from .pmem import PersistentAllocator, PersistentMemory, PmemPool
 from .runtime import (
     DelayInjectionPolicy,
@@ -88,7 +88,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "Metrics",
-    "RunProfiler",
     "PmemPool",
     "PersistentMemory",
     "PersistentAllocator",

@@ -89,10 +89,6 @@ def _add_fuzz_options(parser, parallel_flag=True, session_flag=False):
     parser.add_argument("--corpus-dir", metavar="DIR", dest="corpus_dir",
                         help="persist the retained seed corpus here (one "
                              "JSON file per seed) and resume from it")
-    parser.add_argument("--corpus-schedule", choices=("energy", "uniform"),
-                        default="energy", dest="corpus_schedule",
-                        help="seed-tier parent selection: AFL-style "
-                             "energy weighting (default) or uniform")
     if session_flag:
         parser.add_argument("--session-dir", metavar="DIR",
                             dest="session_dir",
@@ -119,8 +115,6 @@ def _make_config(args):
                         whitelist=whitelist, eadr=args.eadr,
                         capture_repro=bool(getattr(args, "repro_dir",
                                                    None)),
-                        corpus_schedule=getattr(args, "corpus_schedule",
-                                                "energy"),
                         corpus_dir=getattr(args, "corpus_dir", None),
                         target_modules=tuple(
                             getattr(args, "target_modules", ()) or ()))
@@ -417,7 +411,7 @@ def cmd_corpus(args):
     if not os.path.isdir(args.dir):
         print("no corpus directory at %s" % args.dir, file=sys.stderr)
         return 2
-    corpus = Corpus(schedule="uniform", persist_dir=args.dir)
+    corpus = Corpus(persist_dir=args.dir)
     loaded = corpus.load()
     if args.action == "stats":
         rows = corpus.stats_rows()

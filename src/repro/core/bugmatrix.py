@@ -69,7 +69,7 @@ def run_matrix_target(name, budget=None):
     budget = dict(budget if budget is not None
                   else MATRIX_BUDGETS.get(name, DEFAULT_BUDGET))
     seeds = budget.pop("seeds")
-    config = PMRaceConfig(capture_repro=True, profile=False,
+    config = PMRaceConfig(capture_repro=True,
                           max_seeds=budget.pop("max_seeds", 16), **budget)
     return fuzz_parallel(name, config, seeds=seeds, processes=1)
 

@@ -10,10 +10,9 @@ real subsystem:
   often the seed was picked as an evolution parent.
 * **Energy scheduling** — AFL-style weighted parent selection: seeds
   with high coverage yield per pick and recent progress get more
-  evolution picks.  Selection draws exactly one ``rng.random()`` from
-  the engine's existing seeded mutator stream (``schedule="uniform"``
-  reproduces the historical ``rng.choice`` draw bit-for-bit), so runs
-  stay fully deterministic and replay capture stays bit-faithful.
+  evolution picks.  Selection draws at most one ``rng.random()`` from
+  the engine's existing seeded mutator stream, so runs stay fully
+  deterministic and replay capture stays bit-faithful.
 * **Persistence** — optional ``persist_dir``: one versioned JSON file
   per retained seed, named by content digest, written durably
   (:func:`~repro.core.session.atomic_write_json`) so parallel workers can
@@ -146,9 +145,6 @@ class Corpus:
     """Seed retention, energy-weighted selection, and persistence.
 
     Args:
-        schedule: ``"energy"`` (AFL-style weighted parent selection) or
-            ``"uniform"`` (the historical ``rng.choice``, bit-compatible
-            with the pre-corpus engine).
         persist_dir: Optional directory for one JSON file per retained
             seed; loaded by :meth:`load`, written atomically on every
             retention/accounting change.
@@ -158,14 +154,7 @@ class Corpus:
             ``corpus_load``/``corpus_seed`` events.
     """
 
-    SCHEDULES = ("energy", "uniform")
-
-    def __init__(self, schedule="energy", persist_dir=None, metrics=None,
-                 tracer=None):
-        if schedule not in self.SCHEDULES:
-            raise ValueError("unknown corpus schedule %r (choose from %s)"
-                             % (schedule, "/".join(self.SCHEDULES)))
-        self.schedule = schedule
+    def __init__(self, persist_dir=None, metrics=None, tracer=None):
         self.persist_dir = persist_dir
         self.metrics = metrics
         self.tracer = tracer
@@ -334,18 +323,13 @@ class Corpus:
     # selection
 
     def _select(self, rng):
-        """Pick an evolution parent; deterministic given ``rng``.
-
-        Uniform mode draws ``rng.choice`` over the entry list — the
-        exact draw the pre-corpus engine made over its seed list, so
-        golden runs stay bit-faithful.  Energy mode spends exactly one
-        ``rng.random()`` on a weighted pick.
+        """Pick an evolution parent by energy; deterministic given
+        ``rng``, which spends one ``rng.random()`` on the weighted pick
+        (none when only one seed is retained).
         """
         entries = self._entries
         self._picks += 1
-        if self.schedule == "uniform":
-            entry = rng.choice(entries)
-        elif len(entries) == 1:
+        if len(entries) == 1:
             entry = entries[0]
         else:
             weights = [e.energy(self._picks, len(entries))

@@ -25,7 +25,6 @@ from ..detect.records import Verdict
 from ..detect.validation_service import ValidationQueue, fresh_target_factory
 from ..detect.whitelist import Whitelist
 from ..instrument.callsite import CallSiteTable
-from ..obs.profiling import NULL_PROFILER, RunProfiler, merge_profiles
 from ..obs.tracer import NULL_TRACER
 from ..runtime.policies import DelayInjectionPolicy, SeededRandomPolicy
 from .campaign import run_campaign
@@ -60,23 +59,19 @@ class PMRaceConfig:
     """
 
     def __init__(self, mode="pmrace", n_threads=4, ops_per_thread=6,
-                 max_campaigns=120, time_budget=None,
-                 execs_per_interleaving=2, max_interleavings_per_seed=8,
-                 max_seeds=40, use_checkpoints=None,
-                 enable_interleaving_tier=True, enable_seed_tier=True,
-                 taint_enabled=True, snapshot_images=True,
-                 capture_stacks=True, validate=True, probe_hangs=False,
+                 max_campaigns=120, execs_per_interleaving=2,
+                 max_interleavings_per_seed=8, max_seeds=40,
+                 use_checkpoints=None, enable_interleaving_tier=True,
+                 enable_seed_tier=True, taint_enabled=True,
+                 snapshot_images=True, capture_stacks=True, validate=True,
                  writer_waiting=150, max_steps=30_000, spin_hang_limit=400,
                  coverage_feedback="both", base_seed=0, whitelist=None,
-                 eadr=False, profile=True, evict_fraction=0.0,
-                 capture_repro=False,
-                 corpus_schedule="energy", corpus_dir=None,
-                 initial_corpus=None, target_modules=()):
+                 eadr=False, evict_fraction=0.0, capture_repro=False,
+                 corpus_dir=None, initial_corpus=None, target_modules=()):
         self.mode = mode
         self.n_threads = n_threads
         self.ops_per_thread = ops_per_thread
         self.max_campaigns = max_campaigns
-        self.time_budget = time_budget
         self.execs_per_interleaving = execs_per_interleaving
         self.max_interleavings_per_seed = max_interleavings_per_seed
         self.max_seeds = max_seeds
@@ -87,7 +82,6 @@ class PMRaceConfig:
         self.snapshot_images = snapshot_images
         self.capture_stacks = capture_stacks
         self.validate = validate
-        self.probe_hangs = probe_hangs
         self.writer_waiting = writer_waiting
         self.max_steps = max_steps
         self.spin_hang_limit = spin_hang_limit
@@ -101,20 +95,11 @@ class PMRaceConfig:
         #: §2.1); sampled with a campaign RNG derived from ``base_seed``
         #: so eviction patterns vary across campaigns and seeds.
         self.evict_fraction = evict_fraction
-        #: Collect per-phase wall times and execs/sec samples into
-        #: ``RunResult.profile`` (a few clock reads per campaign); turn
-        #: off for a true no-observability baseline.
-        self.profile = profile
         #: Record a deterministic repro bundle (schedule decision vector,
         #: RNG draw journals, op lists — :mod:`repro.replay`) for every
         #: kept inconsistency record. Off by default: capture costs one
         #: policy wrapper plus per-campaign journaling.
         self.capture_repro = capture_repro
-        #: Seed-tier parent selection: "energy" (AFL-style, rare-coverage
-        #: and recently-progressing seeds get more evolution picks) or
-        #: "uniform" (the historical unweighted draw). Both spend the
-        #: same seeded mutator RNG stream, so either is deterministic.
-        self.corpus_schedule = corpus_schedule
         #: Optional on-disk corpus directory (one versioned JSON file per
         #: retained seed, written atomically): loaded on start, so a
         #: killed run resumes with its retained corpus.
@@ -167,10 +152,6 @@ class RunResult:
         self.op_errors = 0
         self.annotation_count = 0
         self.bug_reports = []
-        #: Profiling output (:meth:`repro.obs.profiling.RunProfiler.
-        #: to_dict`): per-phase wall time + execs/sec samples. Empty when
-        #: ``config.profile`` is off.
-        self.profile = {}
         #: Per-worker statistics attached by the parallel service
         #: (:mod:`repro.core.parallel`); empty for single-session runs.
         self.worker_stats = []
@@ -220,8 +201,7 @@ class RunResult:
         """Fold another run's findings in (multiple sessions ≈ more
         fuzzing time); bug reports are regrouped afterwards."""
         for candidate in other.candidates:
-            key = (candidate.read_instr, candidate.write_instr,
-                   candidate.cross_thread)
+            key = candidate.dedup_key()
             if key not in self._candidate_keys:
                 self._candidate_keys.add(key)
                 self.candidates.append(candidate)
@@ -268,7 +248,6 @@ class RunResult:
                 for field in ("picks", "campaigns", "new_branch",
                               "new_alias", "inconsistencies"):
                     kept["stats"][field] += entry["stats"][field]
-        self.profile = merge_profiles(self.profile, other.profile)
         self.campaigns += other.campaigns
         self.duration += other.duration
         self.worker_stats.extend(other.worker_stats)
@@ -370,7 +349,6 @@ class PMRace:
         # later replay.
         self.validator = PostFailureValidator(
             fresh_target_factory(target), self.whitelist,
-            probe_hangs=self.config.probe_hangs,
             tracer=self.tracer, metrics=self.metrics)
         self.validation = ValidationQueue(self.validator,
                                           tracer=self.tracer,
@@ -419,8 +397,8 @@ class PMRace:
         # deterministic populate/initial seeds are always regenerated (so
         # the mutator RNG stream never depends on a resume) and dedup.
         corpus = self._corpus = Corpus(
-            schedule=cfg.corpus_schedule, persist_dir=cfg.corpus_dir,
-            metrics=self.metrics, tracer=self.tracer)
+            persist_dir=cfg.corpus_dir, metrics=self.metrics,
+            tracer=self.tracer)
         corpus.load()
         corpus.add_initial(mutator.populate_seed())
         corpus.add_initial(mutator.initial_seed())
@@ -428,7 +406,6 @@ class PMRace:
             corpus.add_exported(exported)
         self._branch_cov = CoverageSet(self.metrics, "coverage.branch")
         self._alias_cov = CoverageSet(self.metrics, "coverage.alias")
-        self._profiler = RunProfiler() if cfg.profile else NULL_PROFILER
         self._campaign_counter = None if self.metrics is None else \
             self.metrics.counter("engine.campaigns")
         self._skips = {}
@@ -447,8 +424,6 @@ class PMRace:
         self._drain_validation()
         result.corpus_seeds = corpus.export()
         result.duration = time.monotonic() - self._start
-        result.profile = self._profiler.to_dict(result.duration,
-                                                result.campaigns)
         self._finalize(result)
         self.tracer.emit("run_end", target=self.target.NAME,
                          duration_s=round(result.duration, 6),
@@ -456,10 +431,7 @@ class PMRace:
         return result
 
     def _out_of_budget(self):
-        if self._result.campaigns >= self.config.max_campaigns:
-            return True
-        return self.config.time_budget is not None and \
-            time.monotonic() - self._start > self.config.time_budget
+        return self._result.campaigns >= self.config.max_campaigns
 
     def _fuzz_seed(self, corpus_entry, evolved, seed_index):
         """Seed tier: explore one seed's interleavings, validate what
@@ -542,9 +514,7 @@ class PMRace:
         the (new branch, new alias) coverage it added."""
         cfg = self.config
         result = self._result
-        profiler = self._profiler
-        with profiler.phase("provide"):
-            state = self._provider.provide()
+        state = self._provider.provide()
         result.annotation_count = max(result.annotation_count,
                                       state.annotations.annotation_count)
         policy = self._make_policy(result.campaigns)
@@ -558,20 +528,19 @@ class PMRace:
             policy = RecordingPolicy(policy)
             self._priv_rng.begin_segment()
             self._evict_rng.begin_segment()
-        with profiler.phase("campaign"):
-            # Looked up through the module global on every call so a
-            # harness can wrap ``engine.run_campaign``.
-            campaign = run_campaign(
-                self.target, state, seed.threads, policy, entry=entry,
-                rng=self._priv_rng, initial_skips=dict(seed_skips),
-                writer_waiting=cfg.writer_waiting,
-                taint_enabled=cfg.taint_enabled,
-                snapshot_images=cfg.snapshot_images,
-                capture_stacks=cfg.capture_stacks, max_steps=cfg.max_steps,
-                spin_hang_limit=cfg.spin_hang_limit, metrics=self.metrics,
-                callsites=self._callsites,
-                evict_fraction=cfg.evict_fraction,
-                evict_rng=self._evict_rng)
+        # Looked up through the module global on every call so a
+        # harness can wrap ``engine.run_campaign``.
+        campaign = run_campaign(
+            self.target, state, seed.threads, policy, entry=entry,
+            rng=self._priv_rng, initial_skips=dict(seed_skips),
+            writer_waiting=cfg.writer_waiting,
+            taint_enabled=cfg.taint_enabled,
+            snapshot_images=cfg.snapshot_images,
+            capture_stacks=cfg.capture_stacks, max_steps=cfg.max_steps,
+            spin_hang_limit=cfg.spin_hang_limit, metrics=self.metrics,
+            callsites=self._callsites,
+            evict_fraction=cfg.evict_fraction,
+            evict_rng=self._evict_rng)
         result.campaigns += 1
         if self._campaign_counter is not None:
             self._campaign_counter.inc()
@@ -593,9 +562,7 @@ class PMRace:
         if campaign.controller is not None:
             for instr, skip in campaign.controller.updated_skips.items():
                 seed_skips[instr] = seed_skips.get(instr, 0) + skip
-        with profiler.phase("harvest"):
-            self._harvest(result, campaign, seed, elapsed, capture=capture)
-        profiler.sample(result.campaigns)
+        self._harvest(result, campaign, seed, elapsed, capture=capture)
         if self.tracer.enabled:
             self.tracer.emit("campaign", index=result.campaigns,
                              status=campaign.outcome.status,
@@ -611,8 +578,7 @@ class PMRace:
         """Validate every record queued since the last drain."""
         if not self.config.validate or not self.validation:
             return
-        with self._profiler.phase("validate"):
-            self.validation.drain()
+        self.validation.drain()
 
     def _harvest(self, result, campaign, seed, elapsed, capture=None):
         checker = campaign.checker
@@ -620,8 +586,7 @@ class PMRace:
         metrics = self.metrics
         result.op_errors += campaign.op_errors
         for candidate in checker.candidates:
-            key = (candidate.read_instr, candidate.write_instr,
-                   candidate.cross_thread)
+            key = candidate.dedup_key()
             if key not in result._candidate_keys:
                 result._candidate_keys.add(key)
                 result.candidates.append(candidate)

@@ -51,7 +51,6 @@ import hashlib
 import json
 import os
 import signal
-import zlib
 
 from ..detect.records import (
     CandidateRecord,
@@ -59,6 +58,7 @@ from ..detect.records import (
     SyncInconsistencyRecord,
     Verdict,
 )
+from ..detect.validation_service import image_digest
 from ..obs.tracer import NULL_TRACER, jsonable
 
 #: Bump when the manifest / journal / checkpoint layout changes; a
@@ -78,7 +78,6 @@ CONFIG_DIGEST_FIELDS = (
     "enable_interleaving_tier", "enable_seed_tier", "taint_enabled",
     "snapshot_images", "validate", "writer_waiting", "max_steps",
     "spin_hang_limit", "coverage_feedback", "eadr", "evict_fraction",
-    "corpus_schedule",
 )
 
 
@@ -309,8 +308,7 @@ class ImageStore:
 
     @staticmethod
     def ref_for(image):
-        return "%08x-%d" % (zlib.crc32(bytes(image)) & 0xFFFFFFFF,
-                            len(image))
+        return "%08x-%d" % image_digest(image)
 
     def put(self, image):
         """Store ``image`` (idempotent); returns its reference string."""
@@ -460,7 +458,6 @@ def result_to_doc(result, images):
                    "seed_id": jsonable(h.seed_id)} for h in result.hangs],
         "corpus_seeds": jsonable(result.corpus_seeds),
         "worker_stats": [stats.to_dict() for stats in result.worker_stats],
-        "profile": jsonable(result.profile),
         "pending_validation": [
             {"kind": r.kind, "key": jsonable(list(r.dedup_key())),
              "image": None if r.crash_image is None
@@ -507,7 +504,6 @@ def result_from_doc(doc, images, config, target_name=None):
     loaded.corpus_seeds = doc.get("corpus_seeds", [])
     loaded.worker_stats = [WorkerStats.from_dict(sdoc)
                            for sdoc in doc.get("worker_stats", [])]
-    loaded.profile = doc.get("profile", {})
     return RunResult(name, config).merge(loaded)
 
 

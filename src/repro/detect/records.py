@@ -45,6 +45,9 @@ class CandidateRecord:
     def kind(self):
         return "inter-candidate" if self.cross_thread else "intra-candidate"
 
+    def dedup_key(self):
+        return (self.read_instr, self.write_instr, self.cross_thread)
+
     def __repr__(self):
         return "<Candidate #%d %s write=%s read=%s>" % (
             self.candidate_id, self.kind, self.write_instr, self.read_instr)

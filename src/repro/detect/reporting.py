@@ -103,7 +103,6 @@ def dump_run_result(result, path):
         "corpus_digests": sorted(
             entry["digest"]
             for entry in getattr(result, "corpus_seeds", ())),
-        "profile": getattr(result, "profile", {}),
     }
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)

@@ -81,8 +81,8 @@ def fresh_target_factory(target):
     return cls
 
 
-def make_validation_queue(target_name, whitelist=None, probe_hangs=False,
-                          tracer=None, metrics=None, cache=True):
+def make_validation_queue(target_name, whitelist=None, tracer=None,
+                          metrics=None, cache=True):
     """A standalone cached :class:`ValidationQueue` for ``target_name``.
 
     The replay/shrink tooling validates re-detected records outside any
@@ -94,7 +94,7 @@ def make_validation_queue(target_name, whitelist=None, probe_hangs=False,
     target = make_target(target_name)
     validator = PostFailureValidator(
         fresh_target_factory(target), whitelist or Whitelist(),
-        probe_hangs=probe_hangs, tracer=tracer, metrics=metrics)
+        tracer=tracer, metrics=metrics)
     return ValidationQueue(validator, tracer=tracer, metrics=metrics,
                            cache=cache)
 

@@ -129,8 +129,8 @@ class TestRetention:
 
 
 class TestScheduling:
-    def _stocked(self, schedule):
-        corpus = Corpus(schedule=schedule)
+    def _stocked(self):
+        corpus = Corpus()
         dull = corpus.add_initial(make_seed(((("read", 0),),)))
         hot = corpus.add_initial(make_seed(((("bump", 0),),)))
         corpus.account(dull, campaigns=8, new_branch=0, new_alias=0,
@@ -140,7 +140,7 @@ class TestScheduling:
         return corpus, dull, hot
 
     def test_energy_favors_productive_seed(self):
-        corpus, dull, hot = self._stocked("energy")
+        corpus, dull, hot = self._stocked()
         rng = random.Random(5)
         picks = [corpus._select(rng) for _ in range(200)]
         assert picks.count(hot) > picks.count(dull) * 3
@@ -148,24 +148,11 @@ class TestScheduling:
     def test_energy_selection_deterministic(self):
         counts = []
         for _ in range(2):
-            corpus, dull, hot = self._stocked("energy")
+            corpus, dull, hot = self._stocked()
             rng = random.Random(9)
             picks = [corpus._select(rng) for _ in range(50)]
             counts.append([p is hot for p in picks])
         assert counts[0] == counts[1]
-
-    def test_uniform_matches_plain_choice(self):
-        """Uniform mode must spend the exact draw the pre-corpus engine
-        made (``rng.choice`` over the list), keeping golden runs
-        bit-faithful."""
-        corpus, dull, hot = self._stocked("uniform")
-        picked = corpus._select(random.Random(3))
-        reference = random.Random(3).choice([dull, hot])
-        assert picked is reference
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            Corpus(schedule="round-robin")
 
     def test_recent_progress_boosts_energy(self):
         entry = SeedEntry(make_seed(), "d", False, 0)

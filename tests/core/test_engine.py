@@ -49,18 +49,6 @@ class TestEngine:
         result = run_engine(max_campaigns=5)
         assert result.campaigns == 5
 
-    def test_profile_phases_count_every_campaign(self):
-        result = run_engine()
-        counts = result.profile["phase_counts"]
-        for phase in ("provide", "campaign", "harvest"):
-            assert counts[phase] == result.campaigns
-        assert counts["validate"] >= 1
-
-    def test_profile_off_leaves_profile_empty(self):
-        result = run_engine(profile=False)
-        assert result.campaigns == 25
-        assert result.profile == {}
-
     def test_delay_mode_runs(self):
         result = run_engine(mode="delay", max_campaigns=10)
         assert result.campaigns == 10

@@ -150,6 +150,11 @@ class TestImageStore:
         assert store.get(ref) == image
         assert len(os.listdir(str(tmp_path / "images"))) == 1
 
+    def test_reference_is_crc32_and_length(self):
+        # Checkpoints written by earlier versions name images this way.
+        image = bytearray(b"\x00\x01persistent pool bytes\xff" * 9)
+        assert ImageStore.ref_for(image) == "b7c36aac-216"
+
     def test_corrupt_image_file_reads_as_missing(self, tmp_path):
         store = ImageStore(str(tmp_path / "images"))
         ref = store.put(bytearray(b"good image bytes"))
@@ -247,6 +252,19 @@ class TestCheckpointRoundTrip:
         restored = result_from_doc(rebuilt, session.images,
                                    small_config())
         assert result_fingerprint(restored) == result_fingerprint(result)
+
+    def test_legacy_profile_key_is_ignored(self, tmp_path):
+        session, result = run_session(tmp_path)
+        doc = result_to_doc(result, session.images)
+        assert "profile" not in doc
+        # Checkpoints from before the run profiler was removed carry a
+        # "profile" document; loading one must still work.
+        doc["profile"] = {"duration_s": 1.0, "executions": 16,
+                          "execs_per_sec": 16.0, "phase_seconds": {},
+                          "phase_counts": {}, "samples": [[1.0, 16]]}
+        restored = result_from_doc(doc, session.images, small_config())
+        assert result_fingerprint(restored) == result_fingerprint(result)
+        assert not hasattr(restored, "profile")
 
     def test_corpus_dir_mirrors_merged_corpus(self, tmp_path):
         session, result = run_session(tmp_path)

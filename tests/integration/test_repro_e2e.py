@@ -28,7 +28,7 @@ GOLDEN_MIN_OPS = 19
 @pytest.fixture(scope="module")
 def bug_bundle():
     cfg = PMRaceConfig(max_campaigns=MAX_CAMPAIGNS, base_seed=BASE_SEED,
-                       capture_repro=True, profile=False)
+                       capture_repro=True)
     result = PMRace(make_target("memcached-pmem"), cfg).run()
     bugs = [record for record in result.inconsistencies
             + result.sync_inconsistencies

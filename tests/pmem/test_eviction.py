@@ -119,7 +119,7 @@ class TestEngineEvictionThreading:
 
         config = PMRaceConfig(max_campaigns=12, max_seeds=4,
                               ops_per_thread=4, base_seed=2,
-                              evict_fraction=0.5, profile=False)
+                              evict_fraction=0.5)
         return PMRace(ToyTarget(), config).run()
 
     def test_runs_reproducible_with_eviction(self):

@@ -19,7 +19,7 @@ def pytest_collection_modifyitems(items):
 def capture_run(target_name, base_seed=7, max_campaigns=25, **overrides):
     """One pinned-seed capture-mode engine run; returns its RunResult."""
     cfg = PMRaceConfig(max_campaigns=max_campaigns, base_seed=base_seed,
-                       capture_repro=True, profile=False, **overrides)
+                       capture_repro=True, **overrides)
     return PMRace(make_target(target_name), cfg).run()
 
 

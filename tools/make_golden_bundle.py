@@ -35,7 +35,7 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "..", "tests",
 
 def main():
     cfg = PMRaceConfig(max_campaigns=MAX_CAMPAIGNS, base_seed=BASE_SEED,
-                       capture_repro=True, profile=False)
+                       capture_repro=True)
     print("fuzzing memcached-pmem (seed %d, %d campaigns)..."
           % (BASE_SEED, MAX_CAMPAIGNS))
     result = PMRace(make_target("memcached-pmem"), cfg).run()
