@@ -85,13 +85,12 @@ class InconsistencyChecker(Observer):
         """
         if not self.snapshot_images:
             return None
-        image = bytearray(self.pool.crash_image(self.evict_fraction,
-                                                self.evict_rng))
+        image = self.pool.crash_image(self.evict_fraction, self.evict_rng)
         if overlay_addr is not None and overlay_size > 0:
             end = min(overlay_addr + overlay_size, len(image))
-            image[overlay_addr:end] = self.pool.memory.load(
-                overlay_addr, end - overlay_addr)
-        return bytes(image)
+            image = image.overlay(overlay_addr, self.pool.memory.load(
+                overlay_addr, end - overlay_addr))
+        return image
 
     def on_load(self, event):
         if not event.nonpersisted:

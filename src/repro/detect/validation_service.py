@@ -38,6 +38,7 @@ import zlib
 from collections import deque
 
 from ..obs.tracer import NULL_TRACER
+from ..pmem.memory import CrashImage
 from .postfailure import PostFailureValidator
 from .records import Verdict
 from .whitelist import Whitelist
@@ -49,8 +50,12 @@ def image_digest(image):
     CRC32 over the full image plus the length is collision-safe enough
     for a per-run cache key (images in one run share layout, differing
     in scattered words), and an order of magnitude cheaper than a
-    cryptographic hash on the hot path.
+    cryptographic hash on the hot path. The digest is content-defined:
+    a :class:`~repro.pmem.memory.CrashImage` digests equal to its
+    ``bytes()``, without materializing them.
     """
+    if isinstance(image, CrashImage):
+        return (image.crc32(), len(image))
     return (zlib.crc32(image) & 0xFFFFFFFF, len(image))
 
 

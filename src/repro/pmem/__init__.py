@@ -10,7 +10,7 @@ from .errors import (
     PmemError,
     PoolError,
 )
-from .memory import PersistentMemory, StoreRecord
+from .memory import CrashImage, PersistentMemory, StoreRecord
 from .pool import NULL_OFF, PmemPool
 from .allocator import PersistentAllocator
 from .layout import StructLayout
@@ -27,6 +27,7 @@ __all__ = [
     "DoubleFreeError",
     "PoolError",
     "CrashError",
+    "CrashImage",
     "PersistentMemory",
     "StoreRecord",
     "PmemPool",

@@ -37,9 +37,19 @@ Two auxiliary indexes keep the hot paths O(touched lines):
 * ``_journal`` — the set of lines whose bytes changed since the last
   :meth:`snapshot`/:meth:`restore`. Restoring the snapshot a memory was
   last reset to copies only those lines back instead of both full pools.
+
+Crash images
+------------
+
+A :class:`CrashImage` is the snapshot's ``persisted`` bytes, shared by
+every image taken while the memory diverges from that snapshot, plus the
+few lines that differ from it: journaled lines whose persisted bytes
+changed and lines that survive the crash in their volatile state. A
+P-CLHT image carries at most about a hundred of its pool's 16,384 lines.
 """
 
 import random
+import zlib
 
 from .cacheline import (
     CACHE_LINE_SIZE,
@@ -114,6 +124,79 @@ class MemorySnapshot:
         self.pending_tids = pending_tids
         self.seq = seq
         self.origin = origin
+
+
+class CrashImage:
+    """Immutable crash image: a shared base plus sorted line overrides.
+
+    Attributes:
+        base: Pool-sized ``bytes``, shared and never copied — the
+            checkpoint snapshot's ``persisted`` view, or one private copy
+            of the persisted view when the memory has no valid base.
+        delta: Sorted tuple of ``(line index, 64 bytes)``; each overrides
+            that line of ``base``.
+
+    ``len()`` and ``bytes()`` give the full image; :meth:`crc32` is the
+    CRC32 of those full contents without building them, so digests of
+    a delta image and of its materialized bytes are equal.
+    """
+
+    __slots__ = ("base", "delta", "_crc")
+
+    def __init__(self, base, delta):
+        self.base = base
+        self.delta = delta
+        self._crc = None
+
+    def __len__(self):
+        return len(self.base)
+
+    def __bytes__(self):
+        buffer = bytearray(len(self.base))
+        self.write_into(buffer)
+        return bytes(buffer)
+
+    def __repr__(self):
+        return "<CrashImage %d bytes, %d delta lines>" % (len(self.base),
+                                                          len(self.delta))
+
+    def write_into(self, buffer):
+        """Write the full image into a pool-sized ``bytearray``."""
+        buffer[:] = self.base
+        for line, data in self.delta:
+            start = line << LINE_SHIFT
+            buffer[start:start + CACHE_LINE_SIZE] = data
+
+    def overlay(self, addr, data):
+        """A new image with ``data`` written at ``addr``."""
+        end = addr + len(data)
+        lines = dict(self.delta)
+        for line in range(addr >> LINE_SHIFT, ((end - 1) >> LINE_SHIFT) + 1):
+            start = line << LINE_SHIFT
+            current = lines.get(line)
+            if current is None:
+                current = self.base[start:start + CACHE_LINE_SIZE]
+            patched = bytearray(current)
+            lo = max(addr, start)
+            hi = min(end, start + CACHE_LINE_SIZE)
+            patched[lo - start:hi - start] = data[lo - addr:hi - addr]
+            lines[line] = bytes(patched)
+        return CrashImage(self.base, tuple(sorted(lines.items())))
+
+    def crc32(self):
+        """CRC32 of the full image, chained over base slices and delta
+        lines; computed once."""
+        if self._crc is None:
+            view = memoryview(self.base)
+            crc = 0
+            position = 0
+            for line, data in self.delta:
+                start = line << LINE_SHIFT
+                crc = zlib.crc32(view[position:start], crc)
+                crc = zlib.crc32(data, crc)
+                position = start + CACHE_LINE_SIZE
+            self._crc = zlib.crc32(view[position:], crc) & 0xFFFFFFFF
+        return self._crc
 
 
 class PersistentMemory:
@@ -392,7 +475,12 @@ class PersistentMemory:
     # crashes and snapshots
 
     def crash_image(self, evict_fraction=0.0, rng=None):
-        """Return the byte contents PM would hold after a crash right now.
+        """Return the :class:`CrashImage` PM would hold after a crash now.
+
+        The image shares the base snapshot's ``persisted`` bytes and
+        carries only the lines that differ from it; a memory without a
+        valid base (never snapshotted, or after :meth:`persist_all`)
+        copies its persisted view once instead.
 
         Args:
             evict_fraction: Probability that a DIRTY line was evicted by the
@@ -404,18 +492,28 @@ class PersistentMemory:
         """
         if evict_fraction > 0.0 and rng is None:
             rng = random.Random(0)
-        image = bytearray(self._persisted)
         survivors = []
         for line, entry in self._lines.items():
             if entry[0] is _PENDING and self.pending_persists_on_crash:
                 survivors.append(line)
             elif evict_fraction > 0.0 and rng.random() < evict_fraction:
                 survivors.append(line)
+        delta = {}
+        if self._base is None or self._journal_full:
+            base = bytes(self._persisted)
+        else:
+            base = self._base.persisted
+            persisted = self._persisted
+            for line in self._journal:
+                start = line << LINE_SHIFT
+                data = persisted[start:start + CACHE_LINE_SIZE]
+                if data != base[start:start + CACHE_LINE_SIZE]:
+                    delta[line] = bytes(data)
+        volatile = self._volatile
         for line in survivors:
             start = line << LINE_SHIFT
-            end = start + CACHE_LINE_SIZE
-            image[start:end] = self._volatile[start:end]
-        return bytes(image)
+            delta[line] = bytes(volatile[start:start + CACHE_LINE_SIZE])
+        return CrashImage(base, tuple(sorted(delta.items())))
 
     def snapshot(self):
         """Capture a deep snapshot (volatile + persisted + metadata).

@@ -9,7 +9,7 @@ here exist for recovery code, tests, and the allocator's bookkeeping.
 import struct
 
 from .errors import MisalignedAccessError, PoolError
-from .memory import PersistentMemory
+from .memory import CrashImage, PersistentMemory
 
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
@@ -43,10 +43,15 @@ class PmemPool:
 
     @classmethod
     def from_image(cls, name, image):
-        """Rebuild a pool from a crash image; everything starts persisted."""
+        """Rebuild a pool from a crash image (a :class:`CrashImage` or
+        plain bytes); everything starts persisted."""
         pool = cls(name, len(image))
-        pool.memory._volatile[:] = image
-        pool.memory._persisted[:] = image
+        memory = pool.memory
+        if isinstance(image, CrashImage):
+            image.write_into(memory._volatile)
+        else:
+            memory._volatile[:] = image
+        memory._persisted[:] = memory._volatile
         return pool
 
     # ------------------------------------------------------------------
@@ -92,7 +97,7 @@ class PmemPool:
     # lifecycle
 
     def crash_image(self, evict_fraction=0.0, rng=None):
-        """Bytes PM would contain after a crash at this instant."""
+        """The :class:`CrashImage` PM would hold after a crash now."""
         return self.memory.crash_image(evict_fraction, rng)
 
     def checkpoint(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import make_state_provider
+from repro.core import PMRace, PMRaceConfig, make_state_provider
 from repro.core.checkpoints import StateProvider
 from repro.targets import MemcachedTarget, PclhtTarget
 
@@ -75,3 +75,22 @@ class TestStateProvider:
         allocator.alloc(256)
         state = provider.provide()
         assert state.extras["objpool"].allocator.allocated_bytes == baseline
+
+
+class TestCrashImageMemory:
+    """Crash images taken on checkpointed state are line deltas over the
+    checkpoint's persisted bytes, never fresh pool copies."""
+
+    def test_records_share_the_checkpoint_base(self):
+        fuzzer = PMRace(PclhtTarget(), PMRaceConfig(max_campaigns=10,
+                                                     base_seed=7))
+        result = fuzzer.run()
+        base = fuzzer._provider._snapshot[0].persisted
+        kept = list(result.inconsistencies) + \
+            list(result.sync_inconsistencies)
+        images = [r.crash_image for r in kept if r.crash_image is not None]
+        assert images
+        lines = len(base) // 64
+        for image in images:
+            assert image.base is base
+            assert len(image.delta) < lines // 64

@@ -13,7 +13,7 @@ class TestEadrMemory:
         mem = PersistentMemory(4096, eadr=True)
         mem.store(0, b"hello", thread_id=0)
         assert mem.is_persisted(0, 5)
-        assert mem.crash_image()[:5] == b"hello"
+        assert bytes(mem.crash_image())[:5] == b"hello"
 
     def test_no_dirty_writers(self):
         mem = PersistentMemory(4096, eadr=True)

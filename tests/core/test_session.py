@@ -9,6 +9,7 @@ in ``tests/integration/test_chaos_recovery.py``).
 
 import json
 import os
+import zlib
 
 import pytest
 
@@ -23,10 +24,14 @@ from repro.core.session import (
     append_jsonl,
     atomic_write_json,
     read_journal,
+    record_from_doc,
+    record_to_doc,
     result_fingerprint,
     result_from_doc,
     result_to_doc,
 )
+from repro.detect.records import SyncInconsistencyRecord
+from repro.pmem import PersistentMemory
 
 
 def small_config(**overrides):
@@ -154,6 +159,36 @@ class TestImageStore:
         # Checkpoints written by earlier versions name images this way.
         image = bytearray(b"\x00\x01persistent pool bytes\xff" * 9)
         assert ImageStore.ref_for(image) == "b7c36aac-216"
+
+    def test_crash_image_record_round_trip(self, tmp_path):
+        # A delta image is stored as its full bytes under the content
+        # digest, so the ref and the file match a plain-bytes image.
+        mem = PersistentMemory(4096)
+        mem.store(0, b"base", ntstore=True)
+        mem.snapshot()
+        mem.store(64, b"delta", ntstore=True)
+        mem.store(128, b"lost")
+        image = mem.crash_image()
+        assert image.delta
+        record = SyncInconsistencyRecord("lock", 64, 8, 0, 1, "site:1", (),
+                                         image)
+        store = ImageStore(str(tmp_path / "images"))
+        doc = record_to_doc(record, store)
+        data = bytes(image)
+        assert doc["image"] == "%08x-%d" % (zlib.crc32(data), len(data))
+        restored = record_from_doc(doc, store)
+        assert bytes(restored.crash_image) == data
+        assert ImageStore.ref_for(restored.crash_image) == doc["image"]
+
+    def test_image_file_written_before_delta_images_loads(self, tmp_path):
+        directory = tmp_path / "images"
+        directory.mkdir()
+        data = bytes(range(256)) * 16
+        ref = "%08x-%d" % (zlib.crc32(data), len(data))
+        (directory / (ref + ".bin")).write_bytes(data)
+        loaded = ImageStore(str(directory)).get(ref)
+        assert loaded == data
+        assert ImageStore.ref_for(loaded) == ref
 
     def test_corrupt_image_file_reads_as_missing(self, tmp_path):
         store = ImageStore(str(tmp_path / "images"))

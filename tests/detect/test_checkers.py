@@ -99,7 +99,7 @@ class TestInconsistencies:
         value = view.load_u64(64)
         view.store_u64(128, value + 10)  # cached side effect
         record = checker.inconsistencies[0]
-        image = record.crash_image
+        image = bytes(record.crash_image)
         # dependent data lost in the image...
         assert image[64:72] == b"\x00" * 8
         # ...but the side effect is overlaid (crash after it persisted)
@@ -178,7 +178,7 @@ class TestSyncInconsistencies:
     def test_image_contains_lock_value(self):
         _pool, _ctx, checker, view = self.make_annotated()
         view.store_u64(256, 1)
-        image = checker.sync_inconsistencies[0].crash_image
+        image = bytes(checker.sync_inconsistencies[0].crash_image)
         assert image[256:264] != b"\x00" * 8
 
     def test_unannotated_address_ignored(self):

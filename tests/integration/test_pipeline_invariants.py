@@ -52,7 +52,7 @@ class TestPipelineInvariants:
 
     def test_sync_images_contain_lock_value(self, result):
         for record in result.sync_inconsistencies:
-            word = record.crash_image[record.addr:record.addr + 8]
+            word = bytes(record.crash_image)[record.addr:record.addr + 8]
             assert word != b"\x00" * 8
 
     def test_timeline_is_monotonic(self, result):

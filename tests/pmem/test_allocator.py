@@ -104,7 +104,7 @@ class TestRegistry:
         allocator = PersistentAllocator(pool, 1024, 32 * 1024,
                                         registry_start=0, registry_slots=16)
         off = allocator.alloc(128)
-        image = pool.crash_image()
+        image = bytes(pool.crash_image())
         blocks = PersistentAllocator.registry_blocks(image, 0, 16)
         assert (off, 128) in blocks
 

@@ -13,14 +13,15 @@ class TestEvictFraction:
     def test_zero_fraction_conservative(self):
         mem = PersistentMemory(4096)
         mem.store(0, b"x" * 8)
-        image = mem.crash_image(evict_fraction=0.0)
+        image = bytes(mem.crash_image(evict_fraction=0.0))
         assert image[:8] == b"\x00" * 8
 
     def test_full_fraction_keeps_all(self):
         mem = PersistentMemory(4096)
         for line in range(8):
             mem.store(line * 64, bytes([line + 1]) * 8)
-        image = mem.crash_image(evict_fraction=1.0, rng=random.Random(1))
+        image = bytes(mem.crash_image(evict_fraction=1.0,
+                                      rng=random.Random(1)))
         for line in range(8):
             assert image[line * 64] == line + 1
 
@@ -28,7 +29,8 @@ class TestEvictFraction:
         mem = PersistentMemory(64 * 64)
         for line in range(64):
             mem.store(line * 64, b"\xff" * 8)
-        image = mem.crash_image(evict_fraction=0.5, rng=random.Random(3))
+        image = bytes(mem.crash_image(evict_fraction=0.5,
+                                      rng=random.Random(3)))
         survivors = sum(1 for line in range(64)
                         if image[line * 64] == 0xFF)
         assert 10 < survivors < 54  # roughly half, sampled
@@ -40,8 +42,10 @@ class TestEvictFraction:
                 mem.store(line * 64, b"\xaa" * 8)
             return mem
 
-        a = build().crash_image(evict_fraction=0.5, rng=random.Random(7))
-        b = build().crash_image(evict_fraction=0.5, rng=random.Random(7))
+        a = bytes(build().crash_image(evict_fraction=0.5,
+                                      rng=random.Random(7)))
+        b = bytes(build().crash_image(evict_fraction=0.5,
+                                      rng=random.Random(7)))
         assert a == b
 
     @settings(max_examples=25, deadline=None)
@@ -54,8 +58,8 @@ class TestEvictFraction:
         mem.store(64, b"\x02" * 64)
         mem.clwb(64, thread_id=0)
         mem.sfence(thread_id=0)
-        image = mem.crash_image(evict_fraction=fraction,
-                                rng=random.Random(seed))
+        image = bytes(mem.crash_image(evict_fraction=fraction,
+                                      rng=random.Random(seed)))
         assert image[0:64] in (b"\x00" * 64, b"\x01" * 64)
         assert image[64:128] == b"\x02" * 64
 
@@ -68,16 +72,17 @@ class TestEvictionSampling:
         return mem
 
     def survivors(self, image, lines=256):
+        image = bytes(image)
         return {line for line in range(lines) if image[line * 64] == 0xFF}
 
     def test_default_rng_fallback_deterministic(self):
         # No rng + a nonzero fraction falls back to a fixed seed instead
         # of reseeding inside the sampling loop: two images agree, and
         # match an explicit Random(0).
-        a = self.build().crash_image(evict_fraction=0.5)
-        b = self.build().crash_image(evict_fraction=0.5)
-        c = self.build().crash_image(evict_fraction=0.5,
-                                     rng=random.Random(0))
+        a = bytes(self.build().crash_image(evict_fraction=0.5))
+        b = bytes(self.build().crash_image(evict_fraction=0.5))
+        c = bytes(self.build().crash_image(evict_fraction=0.5,
+                                           rng=random.Random(0)))
         assert a == b == c
 
     def test_survivor_count_tracks_fraction(self):
@@ -105,8 +110,9 @@ class TestEvictionSampling:
         # image must consume fresh draws rather than restarting the
         # stream.
         rng = random.Random(9)
-        first = self.build().crash_image(evict_fraction=0.5, rng=rng)
-        second = self.build().crash_image(evict_fraction=0.5, rng=rng)
+        first = bytes(self.build().crash_image(evict_fraction=0.5, rng=rng))
+        second = bytes(self.build().crash_image(evict_fraction=0.5,
+                                                rng=rng))
         assert first != second
 
 

@@ -157,34 +157,34 @@ class TestWriterAttribution:
 class TestCrashImages:
     def test_dirty_lost(self, mem):
         mem.store(0, b"hello")
-        image = mem.crash_image()
+        image = bytes(mem.crash_image())
         assert image[:5] == b"\x00" * 5
 
     def test_persisted_survives(self, mem):
         mem.store(0, b"hello", thread_id=1)
         mem.clwb(0, thread_id=1)
         mem.sfence(thread_id=1)
-        assert mem.crash_image()[:5] == b"hello"
+        assert bytes(mem.crash_image())[:5] == b"hello"
 
     def test_ntstore_survives(self, mem):
         mem.store(0, b"hello", ntstore=True)
-        assert mem.crash_image()[:5] == b"hello"
+        assert bytes(mem.crash_image())[:5] == b"hello"
 
     def test_pending_lost_by_default(self, mem):
         mem.store(0, b"hello", thread_id=1)
         mem.clwb(0, thread_id=1)
-        assert mem.crash_image()[:5] == b"\x00" * 5
+        assert bytes(mem.crash_image())[:5] == b"\x00" * 5
 
     def test_pending_survives_when_configured(self):
         mem = PersistentMemory(4096, pending_persists_on_crash=True)
         mem.store(0, b"hello", thread_id=1)
         mem.clwb(0, thread_id=1)
-        assert mem.crash_image()[:5] == b"hello"
+        assert bytes(mem.crash_image())[:5] == b"hello"
 
     def test_full_eviction_keeps_everything(self, mem):
         mem.store(0, b"hello")
-        image = mem.crash_image(evict_fraction=1.0,
-                                rng=random.Random(0))
+        image = bytes(mem.crash_image(evict_fraction=1.0,
+                                      rng=random.Random(0)))
         assert image[:5] == b"hello"
 
     def test_image_size(self, mem):
@@ -192,7 +192,7 @@ class TestCrashImages:
 
     def test_image_is_snapshot(self, mem):
         mem.store(0, b"a", ntstore=True)
-        image = mem.crash_image()
+        image = bytes(mem.crash_image())
         mem.store(0, b"b", ntstore=True)
         assert image[0:1] == b"a"
 
@@ -246,7 +246,7 @@ def test_property_persisted_subset_of_writes(ops):
             # everything pending at this point becomes durable; recompute
             # from ground truth below instead of tracking PENDING here.
     mem.sfence(thread_id=0)  # settle outstanding clwbs deterministically
-    image = mem.crash_image()
+    image = bytes(mem.crash_image())
     for addr, data in written.items():
         chunk = image[addr:addr + 8]
         # Each image word is either the latest write or (possibly) an
