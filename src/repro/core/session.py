@@ -322,9 +322,11 @@ class ImageStore:
         return ref
 
     def get(self, ref):
-        """Load an image by reference; returns ``None`` when the file is
-        missing or fails its own digest (torn leftovers never poison a
-        restored record — the record just loses its image)."""
+        """Load an image by reference as immutable ``bytes``; returns
+        ``None`` when the file is missing or fails its own digest (torn
+        leftovers never poison a restored record — the record just loses
+        its image). Replays share a loaded image as the base of their
+        recovered state, so it is never copied or mutated."""
         if ref is None:
             return None
         try:
@@ -334,7 +336,7 @@ class ImageStore:
             return None
         if self.ref_for(image) != ref:
             return None
-        return bytearray(image)
+        return image
 
 
 # ----------------------------------------------------------------------

@@ -127,30 +127,27 @@ class _ReplayBudget(Observer):
 class ReplayResult:
     """Everything one recovery replay produced, reusable across records.
 
-    A successful replay carries the recovered ``pool`` (for sync-variable
-    reads), the ``target`` instance recovery ran on, and the
-    ``recorder`` whose coalesced write intervals answer side-effect
-    coverage queries. A failed replay carries ``error`` (formatted
-    exception) instead; ``budget_exceeded`` distinguishes a replay the
-    budget aborted from one that genuinely crashed.
-
-    ``shared`` is True when the result came from the digest cache and is
-    (or may be) consulted by several records: consumers must not mutate
-    the pool — the validator replays privately before running the
-    pool-mutating post-recovery probe.
+    A successful replay carries ``recovered``, the pool's volatile view
+    after recovery as a :class:`~repro.pmem.memory.CrashImage` (for
+    sync-variable reads), and the ``recorder`` whose coalesced write
+    intervals answer side-effect coverage queries. ``recovered`` shares
+    the input image's base and holds the lines the replay wrote, so a
+    cached result costs what recovery touched, not the pool size; the
+    pool and target instance are dropped when the replay returns. A
+    failed replay carries ``error`` (formatted exception) instead;
+    ``budget_exceeded`` distinguishes a replay the budget aborted from
+    one that genuinely crashed.
     """
 
-    __slots__ = ("pool", "target", "recorder", "error", "budget_exceeded",
-                 "shared", "retried")
+    __slots__ = ("recovered", "recorder", "error", "budget_exceeded",
+                 "retried")
 
-    def __init__(self, pool=None, target=None, recorder=None, error=None,
+    def __init__(self, recovered=None, recorder=None, error=None,
                  budget_exceeded=False, retried=False):
-        self.pool = pool
-        self.target = target
+        self.recovered = recovered
         self.recorder = recorder
         self.error = error
         self.budget_exceeded = budget_exceeded
-        self.shared = False
         self.retried = retried
 
     @property
@@ -202,7 +199,8 @@ class PostFailureValidator:
     # replay (fault-contained; no verdict logic)
 
     def _recover(self, image):
-        """Run recovery once on ``image``; returns a ReplayResult (ok)."""
+        """Run recovery once on ``image``; returns ``(pool, target,
+        recorder)``."""
         pool = PmemPool.from_image("post-failure", image)
         recorder = WriteRecorder()
         budget = _ReplayBudget(self.replay_max_steps,
@@ -213,7 +211,28 @@ class PostFailureValidator:
         view = PmView(pool, None, ctx)
         target = self.target_factory()
         target.recover(pool, view)
-        return ReplayResult(pool, target, recorder)
+        return pool, target, recorder
+
+    def _contained(self, image):
+        """:meth:`_recover` under the fault contract of :meth:`replay`.
+
+        Returns ``(pool, target, result)``; ``pool`` and ``target`` are
+        None when ``result`` failed.
+        """
+        first = None
+        for retried in (False, True):
+            try:
+                pool, target, recorder = self._recover(image)
+                return pool, target, ReplayResult(recorder=recorder,
+                                                  retried=retried)
+            except ReplayBudgetExceeded as exc:
+                return None, None, ReplayResult(error="%r" % (exc,),
+                                                budget_exceeded=True,
+                                                retried=retried)
+            except Exception as exc:
+                first = first or exc
+        return None, None, ReplayResult(
+            error="%r (persisted across one retry)" % (first,), retried=True)
 
     def replay(self, image):
         """Replay recovery on one crash image, contained and retried.
@@ -226,22 +245,10 @@ class PostFailureValidator:
         while budget aborts are not (re-running a runaway replay would
         deterministically burn the budget twice).
         """
-        try:
-            return self._recover(image)
-        except ReplayBudgetExceeded as exc:
-            return ReplayResult(error="%r" % (exc,), budget_exceeded=True)
-        except Exception as exc:
-            first = exc
-        try:
-            result = self._recover(image)
-            result.retried = True
-            return result
-        except ReplayBudgetExceeded as exc:
-            return ReplayResult(error="%r" % (exc,), budget_exceeded=True,
-                                retried=True)
-        except Exception:
-            return ReplayResult(error="%r (persisted across one retry)"
-                                % (first,), retried=True)
+        pool, _target, result = self._contained(image)
+        if pool is not None:
+            result.recovered = pool.memory.volatile_image()
+        return result
 
     # ------------------------------------------------------------------
     # verdicts
@@ -291,10 +298,8 @@ class PostFailureValidator:
             else:
                 record.verdict = Verdict.BUG
         elif record.kind == "sync":
-            pool = replay.pool
-            recovered = pool.read_u64(record.addr) if record.size == 8 \
-                else int.from_bytes(pool.read_bytes(record.addr, record.size),
-                                    "little")
+            recovered = int.from_bytes(
+                replay.recovered.read(record.addr, record.size), "little")
             if recovered == record.init_val:
                 record.verdict = Verdict.VALIDATED_FP
                 record.note = "sync variable re-initialized by recovery"
@@ -303,25 +308,24 @@ class PostFailureValidator:
                 record.note = "sync variable stuck at %d (expected %d)" % (
                     recovered, record.init_val)
                 if self.probe_hangs:
-                    record.note += self._probe_on(record, replay)
+                    record.note += self._probe_on(record)
         else:
             raise ValueError("unknown record kind %r" % record.kind)
         return record.verdict
 
-    def _probe_on(self, record, replay):
-        """Probe on a private replay when the given one is cache-shared.
+    def _probe_on(self, record):
+        """Probe on a private replay of the record's image.
 
         The probe executes a real operation against the recovered pool —
-        it mutates it — so a cached replay consulted by other records
-        must not be probed directly. Recovery is deterministic, so a
-        private re-replay reaches the identical recovered state.
+        it mutates it — and needs the target instance recovery ran on,
+        neither of which a (possibly cached) ReplayResult keeps. Recovery
+        is deterministic, so the private replay reaches the identical
+        recovered state.
         """
-        if replay.shared:
-            private = self.replay(record.crash_image)
-            if private.error is not None:
-                return "; post-recovery probe skipped (%s)" % private.error
-            replay = private
-        return self._probe(record, replay.pool, replay.target)
+        pool, target, private = self._contained(record.crash_image)
+        if pool is None:
+            return "; post-recovery probe skipped (%s)" % private.error
+        return self._probe(record, pool, target)
 
     def _probe(self, record, pool, target):
         """Demonstrate the hang by running one probe op post-recovery."""

@@ -13,9 +13,11 @@ crash images* instead of records:
 * **Digest cache** — each distinct crash image (keyed by CRC32 +
   length, :func:`image_digest`) is replayed exactly once; its
   :class:`~repro.detect.postfailure.ReplayResult` (coalesced
-  ``WriteRecorder`` intervals + the recovered pool for sync-variable
-  reads) is reused by every record carrying a dedup-equal image. The
-  cache is pure reuse: verdicts are byte-identical to uncached replay.
+  ``WriteRecorder`` intervals + the recovered state for sync-variable
+  reads, kept as a line delta over the input image's base) is reused by
+  every record carrying a dedup-equal image. The cache is pure reuse:
+  verdicts are byte-identical to uncached replay, and an entry holds no
+  pool, so it costs what recovery wrote rather than the pool size.
 * **PENDING upgrades** — a record whose first occurrence carried no
   crash image used to be stamped ``PENDING`` forever while dedup-equal
   duplicates (including ones *with* images) were dropped. The queue
@@ -224,7 +226,6 @@ class ValidationQueue:
             if self._miss_counter is not None:
                 self._miss_counter.inc()
             replay = self.validator.replay(image)
-            replay.shared = True
             self._cache[digest] = replay
         else:
             self.cache_hits += 1

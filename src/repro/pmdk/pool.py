@@ -13,7 +13,7 @@ memcached-pmem (§6.5).
 
 import struct
 
-from ..pmem.allocator import PersistentAllocator
+from ..pmem.allocator import PersistentAllocator, registry_entries
 from ..pmem.errors import PoolError
 from ..pmem.pool import PmemPool
 
@@ -106,12 +106,8 @@ class PmemObjPool:
             self.pool, HEAP_START, self.pool.size,
             registry_start=REGISTRY_START, registry_slots=REGISTRY_SLOTS,
         )
-        for slot in range(REGISTRY_SLOTS):
-            base = REGISTRY_START + slot * 16
-            off = self.pool.read_u64(base)
-            block_size = self.pool.read_u64(base + 8)
-            if not block_size:
-                continue
+        registry = self.pool.read_bytes(REGISTRY_START, REGISTRY_BYTES)
+        for slot, off, block_size in registry_entries(registry):
             allocator._free = _carve(allocator._free, off, block_size)
             allocator._allocated[off] = block_size
             allocator.allocated_bytes += block_size

@@ -20,7 +20,21 @@ from .errors import AllocationError, DoubleFreeError, OutOfBoundsError
 _U64 = struct.Struct("<Q")
 
 #: Each durable registry slot: (offset, size); size == 0 means free slot.
-_SLOT_BYTES = 16
+_SLOT = struct.Struct("<QQ")
+_SLOT_BYTES = _SLOT.size
+
+
+def registry_entries(data):
+    """Decode raw registry bytes: ``(slot, offset, size)`` of every used
+    slot, in slot order. ``data`` must hold whole slots.
+
+    Slots are claimed lowest-first, so a registry is mostly a zero tail;
+    the all-zero slots after the last nonzero byte are never decoded.
+    """
+    end = -(-len(data.rstrip(b"\0")) // _SLOT_BYTES) * _SLOT_BYTES
+    return [(slot, off, size)
+            for slot, (off, size) in enumerate(_SLOT.iter_unpack(data[:end]))
+            if size]
 
 
 class PersistentAllocator:
@@ -151,17 +165,12 @@ class PersistentAllocator:
 
     @staticmethod
     def registry_blocks(image, registry_start, registry_slots=1024):
-        """Enumerate (offset, size) of blocks live in a crash *image*."""
-        blocks = []
-        for slot in range(registry_slots):
-            base = registry_start + slot * _SLOT_BYTES
-            if base + _SLOT_BYTES > len(image):
-                break
-            off = _U64.unpack_from(image, base)[0]
-            size = _U64.unpack_from(image, base + 8)[0]
-            if size:
-                blocks.append((off, size))
-        return blocks
+        """Enumerate (offset, size) of blocks live in a crash *image*;
+        slots that do not fit in the image are ignored."""
+        fitting = max(0, (len(image) - registry_start) // _SLOT_BYTES)
+        end = registry_start + min(registry_slots, fitting) * _SLOT_BYTES
+        return [(off, size) for _slot, off, size
+                in registry_entries(image[registry_start:end])]
 
     # ------------------------------------------------------------------
     # snapshots (for in-memory checkpoints)

@@ -35,8 +35,11 @@ Two auxiliary indexes keep the hot paths O(touched lines):
   pending set, so a fence from one thread can never leak — or stale-
   persist — lines another thread re-dirtied.
 * ``_journal`` — the set of lines whose bytes changed since the last
-  :meth:`snapshot`/:meth:`restore`. Restoring the snapshot a memory was
-  last reset to copies only those lines back instead of both full pools.
+  :meth:`snapshot`/:meth:`restore` (or, for a memory built from a crash
+  image, since that image's base). Restoring the snapshot a memory was
+  last reset to copies only those lines back instead of both full pools,
+  and a memory built from an image reports its volatile view as a
+  :class:`CrashImage` over that image's base plus the journaled lines.
 
 Crash images
 ------------
@@ -48,6 +51,7 @@ changed and lines that survive the crash in their volatile state. A
 P-CLHT image carries at most about a hundred of its pool's 16,384 lines.
 """
 
+import bisect
 import random
 import zlib
 
@@ -152,20 +156,38 @@ class CrashImage:
         return len(self.base)
 
     def __bytes__(self):
-        buffer = bytearray(len(self.base))
-        self.write_into(buffer)
-        return bytes(buffer)
+        if not self.delta:
+            return bytes(self.base)
+        return bytes(self.to_bytearray())
 
     def __repr__(self):
         return "<CrashImage %d bytes, %d delta lines>" % (len(self.base),
                                                           len(self.delta))
 
-    def write_into(self, buffer):
-        """Write the full image into a pool-sized ``bytearray``."""
-        buffer[:] = self.base
+    def to_bytearray(self):
+        """The full image as a new ``bytearray``: one copy of ``base``
+        with the delta lines written over it."""
+        buffer = bytearray(self.base)
         for line, data in self.delta:
             start = line << LINE_SHIFT
             buffer[start:start + CACHE_LINE_SIZE] = data
+        return buffer
+
+    def read(self, addr, size):
+        """The ``size`` bytes at ``addr``, without materializing the image."""
+        end = addr + size
+        if addr < 0 or size < 0 or end > len(self.base):
+            raise OutOfBoundsError(addr, size, len(self.base))
+        out = bytearray(self.base[addr:end])
+        delta = self.delta
+        first = bisect.bisect_left(delta, (addr >> LINE_SHIFT,))
+        stop = bisect.bisect_left(delta, (((end - 1) >> LINE_SHIFT) + 1,))
+        for line, data in delta[first:stop]:
+            start = line << LINE_SHIFT
+            lo = max(addr, start)
+            hi = min(end, start + CACHE_LINE_SIZE)
+            out[lo - addr:hi - addr] = data[lo - start:hi - start]
+        return bytes(out)
 
     def overlay(self, addr, data):
         """A new image with ``data`` written at ``addr``."""
@@ -214,15 +236,41 @@ class PersistentMemory:
             Inconsistencies cannot occur, but PM Synchronization
             Inconsistencies still can — locks persisted in PM survive
             crashes regardless of where they were buffered.
+        image: Optional initial contents of exactly ``size`` bytes — a
+            :class:`CrashImage` or bytes-like — that both views start
+            from, everything persisted. A :class:`CrashImage`'s delta
+            lines start journaled, so :meth:`volatile_image` can share
+            its base.
     """
 
-    def __init__(self, size, pending_persists_on_crash=False, eadr=False):
+    def __init__(self, size, pending_persists_on_crash=False, eadr=False,
+                 image=None):
         size = ((size + CACHE_LINE_SIZE - 1) // CACHE_LINE_SIZE) * CACHE_LINE_SIZE
         self.size = size
         self.pending_persists_on_crash = pending_persists_on_crash
         self.eadr = eadr
-        self._volatile = bytearray(size)
-        self._persisted = bytearray(size)
+        #: lines whose volatile or persisted bytes changed since the last
+        #: snapshot/restore; drives incremental checkpoint restores.
+        self._journal = set()
+        self._journal_full = False
+        #: immutable bytes the volatile view equals outside the journal
+        #: (set only for a memory built from an image).
+        self._image_base = None
+        if image is None:
+            self._volatile = bytearray(size)
+        else:
+            if len(image) != size:
+                raise ValueError("image of %d bytes for a %d-byte memory"
+                                 % (len(image), size))
+            if isinstance(image, CrashImage):
+                self._volatile = image.to_bytearray()
+                self._journal.update(line for line, _data in image.delta)
+                self._image_base = image.base
+            else:
+                self._volatile = bytearray(image)
+                if isinstance(image, bytes):
+                    self._image_base = image
+        self._persisted = bytearray(self._volatile)
         #: line index -> [LineState, word mask, per-word StoreRecords];
         #: entry exists iff mask != 0 (otherwise the line is CLEAN).
         self._lines = {}
@@ -230,10 +278,6 @@ class PersistentMemory:
         self._pending_by_thread = {}
         #: reverse index: line -> set of thread_ids holding it pending.
         self._pending_tids = {}
-        #: lines whose volatile or persisted bytes changed since the last
-        #: snapshot/restore; drives incremental checkpoint restores.
-        self._journal = set()
-        self._journal_full = False
         #: the snapshot this memory currently diverges from (if any).
         self._base = None
         self._seq = 0
@@ -515,6 +559,23 @@ class PersistentMemory:
             delta[line] = bytes(volatile[start:start + CACHE_LINE_SIZE])
         return CrashImage(base, tuple(sorted(delta.items())))
 
+    def volatile_image(self):
+        """The volatile view as a :class:`CrashImage`.
+
+        A memory built from an immutable image shares that image's base
+        and carries its journaled lines, so the cost follows the lines
+        written since; without such a base, or once :meth:`persist_all`,
+        :meth:`snapshot` or :meth:`restore` voided the journal's meaning,
+        the view is copied once.
+        """
+        volatile = self._volatile
+        if self._image_base is None or self._journal_full:
+            return CrashImage(bytes(volatile), ())
+        return CrashImage(self._image_base, tuple(
+            (line, bytes(volatile[line << LINE_SHIFT:
+                                  (line + 1) << LINE_SHIFT]))
+            for line in sorted(self._journal)))
+
     def snapshot(self):
         """Capture a deep snapshot (volatile + persisted + metadata).
 
@@ -536,6 +597,7 @@ class PersistentMemory:
         )
         self._journal = set()
         self._journal_full = False
+        self._image_base = None
         self._base = snap
         return snap
 
@@ -571,3 +633,4 @@ class PersistentMemory:
         self._pending_tids = {line: set(tids)
                               for line, tids in snap.pending_tids.items()}
         self._seq = snap.seq
+        self._image_base = None

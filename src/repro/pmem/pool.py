@@ -8,8 +8,9 @@ here exist for recovery code, tests, and the allocator's bookkeeping.
 
 import struct
 
+from .cacheline import CACHE_LINE_SIZE
 from .errors import MisalignedAccessError, PoolError
-from .memory import CrashImage, PersistentMemory
+from .memory import PersistentMemory
 
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
@@ -25,16 +26,18 @@ class PmemPool:
         name: Pool file name (purely informational in the simulation).
         size: Pool size in bytes.
         pending_persists_on_crash: Forwarded to :class:`PersistentMemory`.
+        image: Initial contents, forwarded to :class:`PersistentMemory`;
+            use :meth:`from_image`, which checks its length.
     """
 
     def __init__(self, name, size, pending_persists_on_crash=False,
-                 eadr=False):
+                 eadr=False, image=None):
         if size <= 0:
             raise PoolError("pool %r must have positive size" % name)
         self.name = name
         self.memory = PersistentMemory(
             size, pending_persists_on_crash=pending_persists_on_crash,
-            eadr=eadr,
+            eadr=eadr, image=image,
         )
 
     @property
@@ -43,16 +46,20 @@ class PmemPool:
 
     @classmethod
     def from_image(cls, name, image):
-        """Rebuild a pool from a crash image (a :class:`CrashImage` or
-        plain bytes); everything starts persisted."""
-        pool = cls(name, len(image))
-        memory = pool.memory
-        if isinstance(image, CrashImage):
-            image.write_into(memory._volatile)
-        else:
-            memory._volatile[:] = image
-        memory._persisted[:] = memory._volatile
-        return pool
+        """Rebuild a pool from a crash image (a
+        :class:`~repro.pmem.memory.CrashImage` or plain bytes); everything
+        starts persisted. Each view is one copy of the image.
+
+        Raises:
+            PoolError: If the image length is not a positive multiple of
+                the cache-line size.
+        """
+        size = len(image)
+        if size <= 0 or size % CACHE_LINE_SIZE:
+            raise PoolError("crash image for pool %r must be a positive "
+                            "multiple of %d bytes, got %d"
+                            % (name, CACHE_LINE_SIZE, size))
+        return cls(name, size, image=image)
 
     # ------------------------------------------------------------------
     # raw word accessors (no instrumentation, no persistency effects for
@@ -97,7 +104,8 @@ class PmemPool:
     # lifecycle
 
     def crash_image(self, evict_fraction=0.0, rng=None):
-        """The :class:`CrashImage` PM would hold after a crash now."""
+        """The :class:`~repro.pmem.memory.CrashImage` PM would hold after
+        a crash now."""
         return self.memory.crash_image(evict_fraction, rng)
 
     def checkpoint(self):

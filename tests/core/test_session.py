@@ -30,8 +30,11 @@ from repro.core.session import (
     result_from_doc,
     result_to_doc,
 )
+from repro.detect import PostFailureValidator
 from repro.detect.records import SyncInconsistencyRecord
 from repro.pmem import PersistentMemory
+
+from ..detect.test_postfailure import MiniTarget
 
 
 def small_config(**overrides):
@@ -189,6 +192,30 @@ class TestImageStore:
         loaded = ImageStore(str(directory)).get(ref)
         assert loaded == data
         assert ImageStore.ref_for(loaded) == ref
+
+    def test_loaded_image_is_bytes_and_replays_alike(self, tmp_path):
+        # Replays share a loaded image as the base of their recovered
+        # state, so the store hands out the immutable file bytes.
+        mem = PersistentMemory(2048)
+        mem.store(512, (1).to_bytes(8, "little"), ntstore=True)
+        mem.store(768, (1).to_bytes(8, "little"), ntstore=True)
+        image = mem.crash_image()
+        store = ImageStore(str(tmp_path / "images"))
+        ref = store.put(image)
+        loaded = store.get(ref)
+        assert type(loaded) is bytes
+        assert ImageStore.ref_for(loaded) == ref
+        validator = PostFailureValidator(MiniTarget)
+        for addr in (512, 768):
+            original, restored = (
+                SyncInconsistencyRecord("lock", addr, 8, 0, 1, "site:1", (),
+                                        crash_image)
+                for crash_image in (image, loaded))
+            assert validator.validate(restored) is \
+                validator.validate(original)
+            assert restored.note == original.note
+        assert bytes(validator.replay(loaded).recovered) != loaded
+        assert store.get(ref) == loaded  # the file bytes were not written
 
     def test_corrupt_image_file_reads_as_missing(self, tmp_path):
         store = ImageStore(str(tmp_path / "images"))

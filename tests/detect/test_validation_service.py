@@ -341,9 +341,9 @@ class TestProbeNotes:
         queue.enqueue(inter)
         queue.drain()
         shared = queue._cache[image_digest(image)]
-        assert shared.shared
         # The probe wrote 0xDEAD at 0 — on its *private* replay only.
-        assert shared.pool.read_u64(0) != 0xDEAD
+        assert int.from_bytes(shared.recovered.read(0, 8),
+                              "little") != 0xDEAD
 
 
 class _StatefulRecoveryTarget:

@@ -9,12 +9,19 @@ and so must its digest.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.detect.checkers import InconsistencyChecker
 from repro.detect.validation_service import image_digest
-from repro.pmem import CrashImage, LineState, PersistentMemory, PmemPool
+from repro.pmem import (
+    CrashImage,
+    LineState,
+    OutOfBoundsError,
+    PersistentMemory,
+    PmemPool,
+)
 
 POOL = 512
 
@@ -164,3 +171,73 @@ def test_property_delta_image_equals_full_copy(ops, checkpoint_first,
     # Images are immutable: later stores and restores never reach them.
     for image, expected in taken:
         assert bytes(image) == expected
+
+
+# ----------------------------------------------------------------------
+# reads and volatile views of memories rebuilt from an image
+
+DELTAS = st.dictionaries(st.integers(0, POOL // 64 - 1),
+                         st.binary(min_size=64, max_size=64), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DELTAS, st.integers(0, POOL), st.integers(0, POOL))
+def test_property_read_equals_materialized_slice(delta, addr, size):
+    image = CrashImage(bytes(range(256)) * (POOL // 256),
+                       tuple(sorted(delta.items())))
+    size = min(size, POOL - addr)
+    assert image.read(addr, size) == bytes(image)[addr:addr + size]
+
+
+@pytest.mark.parametrize("addr,size", [(POOL - 4, 8), (-8, 8), (0, -1)])
+def test_read_out_of_bounds_raises(addr, size):
+    with pytest.raises(OutOfBoundsError):
+        CrashImage(bytes(POOL), ()).read(addr, size)
+
+
+def test_bytes_of_image_without_delta_is_its_base():
+    base = bytes(range(256)) * 2
+    assert bytes(CrashImage(base, ())) is base
+
+
+REBUILD_OPS = st.lists(st.tuples(
+    st.sampled_from(("store", "ntstore", "clwb", "sfence", "persist_all",
+                     "snapshot", "restore")),
+    st.integers(0, POOL - 1), st.integers(1, 130), st.integers(0, 255)),
+    max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DELTAS, st.sampled_from(("delta", "bytes", "bytearray")), REBUILD_OPS)
+def test_property_volatile_image_tracks_volatile_view(delta, form, ops):
+    """A memory rebuilt from an image reports its volatile view exactly,
+    sharing the input's base while the journal describes it."""
+    source = CrashImage(bytes(range(256)) * (POOL // 256),
+                        tuple(sorted(delta.items())))
+    image = {"delta": source, "bytes": bytes(source),
+             "bytearray": bytearray(bytes(source))}[form]
+    mem = PersistentMemory(POOL, image=image)
+    assert mem._volatile == mem._persisted == bytes(source)
+    shared = form != "bytearray"
+    snapshots = []
+    for kind, addr, size, payload in ops:
+        size = min(size, POOL - addr)
+        if kind in ("store", "ntstore"):
+            mem.store(addr, bytes([payload]) * size, ntstore=kind == "ntstore")
+        elif kind == "clwb":
+            mem.clwb(addr)
+        elif kind == "sfence":
+            mem.sfence()
+        elif kind == "persist_all":
+            mem.persist_all()
+            shared = False
+        elif kind == "snapshot":
+            snapshots.append(mem.snapshot())
+            shared = False
+        elif kind == "restore" and snapshots:
+            mem.restore(snapshots[payload % len(snapshots)])
+        view = mem.volatile_image()
+        assert bytes(view) == bytes(mem._volatile)
+        base = source.base if form == "delta" else image
+        assert (view.base is base) == shared
+    assert bytes(source) == bytes(image)  # the input is never written

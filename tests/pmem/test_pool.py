@@ -56,6 +56,34 @@ class TestLifecycle:
         assert clone.read_u64(16) == 7
         assert clone.read_persisted_u64(16) == 7
 
+    @pytest.mark.parametrize("size", [0, 100, 4095])
+    def test_from_image_rejects_partial_lines(self, size):
+        # A 100-byte image used to build a 128-byte pool over 100-byte
+        # buffers, so reads near the end came back short.
+        with pytest.raises(PoolError):
+            PmemPool.from_image("short", bytes(size))
+
+    def test_from_image_views_are_separate_copies(self):
+        data = bytes(range(256)) * 16
+        clone = PmemPool.from_image("copy", data)
+        memory = clone.memory
+        assert memory._volatile == memory._persisted == data
+        clone.write_u64(0, 0xFFFF)
+        assert clone.read_persisted_u64(0) == int.from_bytes(data[:8],
+                                                             "little")
+
+    def test_from_delta_image_journals_its_delta(self):
+        pool = PmemPool("a", 4096)
+        pool.checkpoint()
+        pool.write_u64(128, 5, ntstore=True)
+        image = pool.crash_image()
+        clone = PmemPool.from_image("b", image)
+        assert clone.memory._journal == {2}
+        assert clone.memory._volatile == bytes(image)
+        recovered = clone.memory.volatile_image()
+        assert recovered.base is image.base
+        assert bytes(recovered) == bytes(image)
+
     def test_crash_image_drops_dirty(self, pool):
         pool.write_u64(0, 99)
         image = pool.crash_image()
