@@ -10,7 +10,12 @@ multi-hop flows (store tainted → load → store elsewhere) are tracked.
 
 from ..pmem.cacheline import words_of
 from .callsite import CallSiteTable
+from .events import Observer
 from .taint import EMPTY
+
+#: Observer callbacks, one hook list each in the context.
+_HOOKS = ("on_load", "on_store", "on_flush", "on_fence",
+          "on_annotated_store")
 
 
 class InstrumentationContext:
@@ -39,7 +44,9 @@ class InstrumentationContext:
         self.metrics = metrics
         self.callsites = callsites if callsites is not None \
             else CallSiteTable()
-        self.observers = []
+        #: callback name -> bound hooks of the observers that have it,
+        #: in registration order (see :meth:`add_observer`).
+        self._hooks = {name: [] for name in _HOOKS}
         #: Sync-point controller (duck-typed: before_load / after_store).
         self.controller = None
         #: word offset -> frozenset of labels carried by the stored value.
@@ -51,14 +58,19 @@ class InstrumentationContext:
         # unless they were constructed with one explicitly.
         if getattr(observer, "callsites", False) is None:
             observer.callsites = self.callsites
-        self.observers.append(observer)
+        # Each event kind calls only the hooks that do something: an
+        # inherited ``Observer`` no-op is left out. Any other callback,
+        # duck-typed observers' included, is kept.
+        for name, hooks in self._hooks.items():
+            hook = getattr(observer, name, None)
+            if hook is None or \
+                    getattr(hook, "__func__", None) is getattr(Observer, name):
+                continue
+            hooks.append(hook)
         return observer
 
     # ------------------------------------------------------------------
     # shadow taint
-
-    def _words(self, addr, size):
-        return words_of(addr, max(size, 1))
 
     def shadow_store(self, addr, size, labels):
         if not self.taint_enabled:
@@ -90,25 +102,27 @@ class InstrumentationContext:
     def dispatch_load(self, event):
         """Fan a load event out; returns labels minted by the checkers."""
         labels = EMPTY
-        for observer in self.observers:
-            minted = observer.on_load(event)
+        for hook in self._hooks["on_load"]:
+            minted = hook(event)
             if minted:
                 labels = labels | minted
         return labels
 
     def dispatch_store(self, event):
-        for observer in self.observers:
-            observer.on_store(event)
-        if self.annotations is not None:
+        hooks = self._hooks
+        for hook in hooks["on_store"]:
+            hook(event)
+        annotated = hooks["on_annotated_store"]
+        if annotated and self.annotations is not None:
             annotation = self.annotations.lookup(event.addr, event.size)
             if annotation is not None:
-                for observer in self.observers:
-                    observer.on_annotated_store(annotation, event)
+                for hook in annotated:
+                    hook(annotation, event)
 
     def dispatch_flush(self, event):
-        for observer in self.observers:
-            observer.on_flush(event)
+        for hook in self._hooks["on_flush"]:
+            hook(event)
 
     def dispatch_fence(self, event):
-        for observer in self.observers:
-            observer.on_fence(event)
+        for hook in self._hooks["on_fence"]:
+            hook(event)

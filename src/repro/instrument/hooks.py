@@ -19,14 +19,17 @@ list index here) so scans and reports keep their ``module:function:line``
 form without per-event resolution downstream.
 """
 
+import functools
 import struct
 
 from ..pmem.cacheline import CACHE_LINE_SIZE, align_down
 from .events import PmAccessEvent
-from .taint import EMPTY, merge_taints, taint_of, with_taint
+from .taint import taint_of, with_taint
 
 _U64 = struct.Struct("<Q")
 _U64_MASK = (1 << 64) - 1
+#: ``_U64.unpack(raw)[0]`` as one C call, with no Python frame.
+_decode_u64 = functools.partial(int.from_bytes, byteorder="little")
 
 
 class PmView:
@@ -59,22 +62,12 @@ class PmView:
             self._m_loads = self._m_stores = self._m_cas = None
             self._m_flushes = self._m_fences = None
 
-    # ------------------------------------------------------------------
-    # plumbing
-
-    def _thread(self):
-        if self.scheduler is None:
-            return None
-        return self.scheduler.current()
-
-    def _yield(self):
-        if self.scheduler is not None:
-            self.scheduler.yield_point("op")
-
-    def _stack(self, interesting):
-        if interesting and self.ctx.capture_stacks:
-            return self._sites.intern_stack(skip=3)
-        return ()
+    # Each access below resolves its simulated thread, yields and (for
+    # an interesting access) captures its stack inline. The call-site
+    # walks start one frame above the public method
+    # (``intern_caller(skip=3)`` from ``_load``/``_store``) or at it
+    # (``intern_stack(skip=2)``) and pass over instrumentation frames,
+    # so ids and stacks name the target's code.
 
     # ------------------------------------------------------------------
     # loads
@@ -83,29 +76,36 @@ class PmView:
         if self._m_loads is not None:
             self._m_loads.inc()
         addr_int = int(addr)
-        instr = self._sites.intern_caller(skip=3)
-        thread = self._thread()
-        if self.ctx.controller is not None and thread is not None:
-            self.ctx.controller.before_load(addr_int, instr, thread)
-        self._yield()
-        writers = self._memory.nonpersisted_writers(addr_int, size)
-        raw = self._memory.load(addr_int, size)
+        sites = self._sites
+        ctx = self.ctx
+        instr = sites.intern_caller(skip=3)
+        scheduler = self.scheduler
+        if scheduler is not None:
+            thread = scheduler.current()
+            if ctx.controller is not None and thread is not None:
+                ctx.controller.before_load(addr_int, instr, thread)
+            scheduler.yield_point("op")
+        else:
+            thread = None
+        memory = self._memory
+        writers = memory.nonpersisted_writers(addr_int, size)
+        value = decode(memory.load(addr_int, size))
         event = PmAccessEvent(
-            "load", addr_int, size, decode(raw), thread, instr,
-            self._stack(bool(writers)), writers,
+            "load", addr_int, size, value, thread, instr,
+            sites.intern_stack(skip=2) if writers and ctx.capture_stacks
+            else (), writers,
         )
-        minted = self.ctx.dispatch_load(event)
-        labels = self.ctx.shadow_load(addr_int, size)
+        minted = ctx.dispatch_load(event)
+        labels = ctx.shadow_load(addr_int, size)
         if minted:
             labels = labels | minted
-        value = decode(raw)
-        if labels and self.ctx.taint_enabled:
+        if labels and ctx.taint_enabled:
             value = with_taint(value, labels)
         return value
 
     def load_u64(self, addr):
         """Load a 64-bit word; returns a (possibly tainted) int."""
-        return self._load(addr, 8, lambda raw: _U64.unpack(raw)[0])
+        return self._load(addr, 8, _decode_u64)
 
     def load_bytes(self, addr, size):
         """Load ``size`` bytes; returns (possibly tainted) bytes."""
@@ -118,26 +118,33 @@ class PmView:
         if self._m_stores is not None:
             self._m_stores.inc()
         addr_int = int(addr)
-        instr = self._sites.intern_caller(skip=3)
-        thread = self._thread()
-        self._yield()
+        sites = self._sites
+        ctx = self.ctx
+        instr = sites.intern_caller(skip=3)
+        scheduler = self.scheduler
+        if scheduler is not None:
+            thread = scheduler.current()
+            scheduler.yield_point("op")
+        else:
+            thread = None
         content_taint = taint_of(value)
         addr_taint = taint_of(addr)
         taint = content_taint | addr_taint
         tid = thread.tid if thread is not None else -1
         memory = self._memory
         same_value = memory.load(addr_int, size) == encoded
-        memory.store(addr_int, encoded, tid, self._sites.name(instr),
+        memory.store(addr_int, encoded, tid, sites.name(instr),
                      ntstore=ntstore)
-        self.ctx.shadow_store(addr_int, size, content_taint)
+        ctx.shadow_store(addr_int, size, content_taint)
         event = PmAccessEvent(
             "ntstore" if ntstore else "store", addr_int, size, value,
-            thread, instr, self._stack(bool(taint)), (), taint, addr_taint,
-            same_value=same_value,
+            thread, instr,
+            sites.intern_stack(skip=2) if taint and ctx.capture_stacks
+            else (), (), taint, addr_taint, same_value=same_value,
         )
-        self.ctx.dispatch_store(event)
-        if self.ctx.controller is not None and thread is not None:
-            self.ctx.controller.after_store(addr_int, instr, thread)
+        ctx.dispatch_store(event)
+        if ctx.controller is not None and thread is not None:
+            ctx.controller.after_store(addr_int, instr, thread)
 
     def store_u64(self, addr, value):
         """Cached 64-bit store (leaves the line dirty until flushed)."""
@@ -168,35 +175,44 @@ class PmView:
         if self._m_cas is not None:
             self._m_cas.inc()
         addr_int = int(addr)
-        instr = self._sites.intern_caller()
-        thread = self._thread()
-        self._yield()
+        sites = self._sites
+        ctx = self.ctx
+        instr = sites.intern_caller()
+        scheduler = self.scheduler
+        if scheduler is not None:
+            thread = scheduler.current()
+            scheduler.yield_point("op")
+        else:
+            thread = None
+        capture = ctx.capture_stacks
         memory = self._memory
         writers = memory.nonpersisted_writers(addr_int, 8)
         old = _U64.unpack(memory.load(addr_int, 8))[0]
         load_event = PmAccessEvent(
             "load", addr_int, 8, old, thread, instr,
-            self._stack(bool(writers)), writers,
+            sites.intern_stack(skip=2) if writers and capture else (),
+            writers,
         )
-        minted = self.ctx.dispatch_load(load_event)
-        labels = self.ctx.shadow_load(addr_int, 8) | minted
+        minted = ctx.dispatch_load(load_event)
+        labels = ctx.shadow_load(addr_int, 8) | minted
         old_value = with_taint(old, labels) if labels else old
         if old != int(expected):
             return False, old_value
         content_taint = taint_of(new)
         addr_taint = taint_of(addr)
+        taint = content_taint | addr_taint
         tid = thread.tid if thread is not None else -1
         memory.store(addr_int, _U64.pack(int(new) & _U64_MASK),
-                     tid, self._sites.name(instr), ntstore=False)
-        self.ctx.shadow_store(addr_int, 8, content_taint)
+                     tid, sites.name(instr), ntstore=False)
+        ctx.shadow_store(addr_int, 8, content_taint)
         store_event = PmAccessEvent(
             "cas", addr_int, 8, new, thread, instr,
-            self._stack(bool(content_taint | addr_taint)), (),
-            content_taint | addr_taint, addr_taint,
+            sites.intern_stack(skip=2) if taint and capture else (), (),
+            taint, addr_taint,
         )
-        self.ctx.dispatch_store(store_event)
-        if self.ctx.controller is not None and thread is not None:
-            self.ctx.controller.after_store(addr_int, instr, thread)
+        ctx.dispatch_store(store_event)
+        if ctx.controller is not None and thread is not None:
+            ctx.controller.after_store(addr_int, instr, thread)
         return True, old_value
 
     # ------------------------------------------------------------------
@@ -207,8 +223,12 @@ class PmView:
             self._m_flushes.inc()
         addr_int = int(addr)
         instr = self._sites.intern_caller()
-        thread = self._thread()
-        self._yield()
+        scheduler = self.scheduler
+        if scheduler is not None:
+            thread = scheduler.current()
+            scheduler.yield_point("op")
+        else:
+            thread = None
         tid = thread.tid if thread is not None else -1
         self._memory.clwb(addr_int, tid)
         self.ctx.dispatch_flush(PmAccessEvent(
@@ -218,8 +238,12 @@ class PmView:
         if self._m_fences is not None:
             self._m_fences.inc()
         instr = self._sites.intern_caller()
-        thread = self._thread()
-        self._yield()
+        scheduler = self.scheduler
+        if scheduler is not None:
+            thread = scheduler.current()
+            scheduler.yield_point("op")
+        else:
+            thread = None
         tid = thread.tid if thread is not None else -1
         self._memory.sfence(tid)
         self.ctx.dispatch_fence(PmAccessEvent(

@@ -296,8 +296,9 @@ class PersistentMemory:
         """Write ``data`` at ``addr``; returns the :class:`StoreRecord`.
 
         A regular store dirties the touched cache lines. A non-temporal
-        store writes through to the persisted view and leaves the touched
-        words clean.
+        store writes through to the persisted view and leaves the words
+        it covers whole clean; a partly covered word keeps the state of
+        its other bytes.
         """
         size = len(data)
         if addr < 0 or addr + size > self.size:
@@ -317,15 +318,21 @@ class PersistentMemory:
         last_line = last_word >> _WPL_SHIFT
         if ntstore:
             self._persisted[addr:addr + size] = data
+            # Only words the store covers whole become clean: the rest
+            # of a partly covered dirty word still holds bytes of an
+            # earlier cached store.
+            first_full = (addr + WORD_SIZE - 1) >> WORD_SHIFT
+            last_full = ((addr + size) >> WORD_SHIFT) - 1
             for line in range(first_line, last_line + 1):
                 journal.add(line)
                 entry = lines.get(line)
                 if entry is None:
                     continue
                 base = line << _WPL_SHIFT
-                lo = first_word - base if line == first_line else 0
-                hi = last_word - base if line == last_line \
-                    else WORDS_PER_LINE - 1
+                lo = max(first_full - base, 0)
+                hi = min(last_full - base, WORDS_PER_LINE - 1)
+                if lo > hi:
+                    continue
                 remaining = entry[1] & ~((1 << (hi + 1)) - (1 << lo))
                 if remaining:
                     entry[1] = remaining
@@ -362,7 +369,8 @@ class PersistentMemory:
 
     def load(self, addr, size):
         """Return ``size`` bytes of the volatile view at ``addr``."""
-        self._check(addr, size)
+        if addr < 0 or size < 0 or addr + size > self.size:
+            raise OutOfBoundsError(addr, size, self.size)
         return bytes(self._volatile[addr:addr + size])
 
     def load_persisted(self, addr, size):

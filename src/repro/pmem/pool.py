@@ -70,7 +70,8 @@ class PmemPool:
             raise MisalignedAccessError(addr, size)
 
     def read_u64(self, addr):
-        self._check_align(addr, 8)
+        if addr % 8 != 0:
+            raise MisalignedAccessError(addr, 8)
         return _U64.unpack(self.memory.load(addr, 8))[0]
 
     def write_u64(self, addr, value, thread_id=None, instr_id=None,

@@ -64,7 +64,18 @@ class SeededRandomPolicy(SchedulingPolicy):
         self.rng = random.Random(seed)
 
     def pick(self, scheduler, candidates, prev):
-        return self.rng.choice(candidates)
+        # ``self.rng.choice(candidates)`` without its two Python frames:
+        # the same ``getrandbits(n.bit_length())`` draws with rejection
+        # (``Random._randbelow``), so picks and RNG states equal choice's.
+        n = len(candidates)
+        if not n:
+            raise IndexError("Cannot choose from an empty sequence")
+        getrandbits = self.rng.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return candidates[r]
 
 
 class DelayInjectionPolicy(SeededRandomPolicy):

@@ -52,6 +52,7 @@ small lock protects the pieces the driver thread reads concurrently.
 
 import threading
 
+from .policies import SchedulingPolicy
 from .thread import SimThread, ThreadKilled, ThreadState
 
 
@@ -107,9 +108,15 @@ class Scheduler:
     def __init__(self, policy, max_steps=30_000, spin_hang_limit=400,
                  thread_spin_limit=None, metrics=None):
         self.policy = policy
+        #: ``policy.on_yield``, or None when it is the interface's no-op.
+        on_yield = policy.on_yield
+        self._on_yield = None if getattr(on_yield, "__func__", None) \
+            is SchedulingPolicy.on_yield else on_yield
         self.max_steps = max_steps
         self.spin_hang_limit = spin_hang_limit
         self.thread_spin_limit = thread_spin_limit or spin_hang_limit * 4
+        #: Spin streak from which a spin step runs the full hang scan.
+        self._scan_streak = min(self.spin_hang_limit, self.thread_spin_limit)
         self.metrics = metrics
         self.threads = []
         #: Live (not DONE) threads, maintained incrementally so the
@@ -218,7 +225,7 @@ class Scheduler:
                 busy-wait iterations inside blocking primitives.
             reason: Human-readable blocked reason (spin yields only).
         """
-        thread = self.current()
+        thread = getattr(self._local, "sim_thread", None)
         if thread is None:
             return  # driver code outside the simulation
         if self._aborting:
@@ -267,14 +274,15 @@ class Scheduler:
         self.steps += 1
         thread.steps += 1
         if kind == "spin":
-            # Hang conditions can only *become* true at a spin yield
-            # (op yields reset the yielding thread's streak, and both
-            # threshold crossings happen on the crossing thread's own
-            # spin yield), so op yields check only the step budget.
             thread.spin_streak += 1
             self.spin_steps += 1
             thread.blocked_reason = reason
-            self._check_limits_locked()
+            # See _check_limits_locked: below the scan streak no hang
+            # condition can hold, so only the budget needs checking.
+            if thread.spin_streak >= self._scan_streak:
+                self._check_limits_locked()
+            elif self.steps >= self.max_steps:
+                self._abort_locked("budget")
         else:
             thread.spin_streak = 0
             thread.blocked_reason = None
@@ -282,7 +290,8 @@ class Scheduler:
                 self._abort_locked("budget")
         if self._aborting:
             return False
-        self.policy.on_yield(self, thread, kind)
+        if self._on_yield is not None:
+            self._on_yield(self, thread, kind)
         return True
 
     def _next_locked(self, caller):
@@ -305,6 +314,26 @@ class Scheduler:
         return nxt
 
     def _check_limits_locked(self):
+        """Budget, then both hang conditions over every live thread.
+
+        A spin step of ``thread`` runs this only once ``thread``'s
+        streak reaches ``min(spin_hang_limit, thread_spin_limit)``;
+        below that neither condition can hold after the step:
+
+        * "some thread blocked" (a streak at ``thread_spin_limit``): a
+          streak grows only by its owner's spin step, which runs this
+          scan from the moment it reaches that limit, so any other
+          thread at the limit would already have aborted the run;
+        * "all threads blocked" (every streak at ``spin_hang_limit``)
+          includes ``thread`` itself, whose streak is below the limit.
+
+        "All blocked" can also become true at a thread exit, when the
+        last live thread below the limit finishes. The next spin step
+        of a remaining thread notices it, as a scan at every spin step
+        would: that thread's streak is already past the limit.
+        Op steps reset the stepping thread's streak, so they check only
+        the budget.
+        """
         if self.steps >= self.max_steps:
             self._abort_locked("budget")
             return

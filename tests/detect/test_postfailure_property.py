@@ -164,10 +164,11 @@ class WordPersistencyOracle:
         if size <= 0:
             return
         for word in self._words(addr, size):
-            if ntstore:
-                self.dirty.discard(word)
-            else:
+            if not ntstore:
                 self.dirty.add(word)
+            elif addr <= word * 8 and word * 8 + 8 <= addr + size:
+                # only a word the ntstore covers whole becomes clean
+                self.dirty.discard(word)
         for line in range(addr >> 6, ((addr + size - 1) >> 6) + 1):
             line_words = range(line * 8, line * 8 + 8)
             if not any(w in self.dirty for w in line_words):

@@ -109,3 +109,90 @@ class TestDispatch:
         ctx.dispatch_flush(self.make_event("clwb"))
         ctx.dispatch_fence(PmAccessEvent("sfence", None, 0))
         assert kinds == ["flush", "fence"]
+
+
+class TestPerKindDispatch:
+    """Each event kind calls only the hooks an observer really has."""
+
+    def make_registry(self):
+        from repro.instrument import AnnotationRegistry
+        registry = AnnotationRegistry()
+        registry.pm_sync_var_hint("lock", 8, 0)
+        registry.register_instance("lock", 64)
+        return registry
+
+    def test_only_overriding_hooks_in_registration_order(self):
+        ctx = InstrumentationContext(annotations=self.make_registry())
+        calls = []
+
+        def spy(tag, *kinds):
+            class Spy(Observer):
+                pass
+            for kind in kinds:
+                setattr(Spy, kind, lambda self, *args, kind=kind:
+                        calls.append((tag, kind)))
+            return Spy()
+
+        ctx.add_observer(spy("a", "on_store", "on_fence"))
+        ctx.add_observer(Observer())
+        ctx.add_observer(spy("b", "on_load", "on_store",
+                             "on_annotated_store"))
+        ctx.add_observer(spy("c", "on_flush", "on_store"))
+        assert [len(ctx._hooks[name]) for name in
+                ("on_load", "on_store", "on_flush", "on_fence",
+                 "on_annotated_store")] == [1, 3, 1, 1, 1]
+        ctx.dispatch_load(PmAccessEvent("load", 64, 8, 1))
+        ctx.dispatch_store(PmAccessEvent("store", 64, 8, 1))
+        ctx.dispatch_flush(PmAccessEvent("clwb", 64, 0))
+        ctx.dispatch_fence(PmAccessEvent("sfence", None, 0))
+        assert calls == [
+            ("b", "on_load"),
+            ("a", "on_store"), ("b", "on_store"), ("c", "on_store"),
+            ("b", "on_annotated_store"),
+            ("c", "on_flush"),
+            ("a", "on_fence"),
+        ]
+
+    def test_load_labels_still_merge(self):
+        ctx = InstrumentationContext()
+
+        class Minter(Observer):
+            def __init__(self, labels):
+                self.labels = labels
+
+            def on_load(self, event):
+                return self.labels
+
+        for labels in (L1, None, frozenset(), L2):
+            ctx.add_observer(Minter(labels))
+        ctx.add_observer(Observer())
+        assert ctx.dispatch_load(PmAccessEvent("load", 64, 8, 1)) == \
+            (L1 | L2)
+
+    def test_duck_typed_observer_gets_every_callback(self):
+        ctx = InstrumentationContext(annotations=self.make_registry())
+        calls = []
+
+        class Duck:
+            def on_load(self, event):
+                calls.append("load")
+
+            def on_store(self, event):
+                calls.append("store")
+
+            def on_flush(self, event):
+                calls.append("flush")
+
+            def on_fence(self, event):
+                calls.append("fence")
+
+            def on_annotated_store(self, annotation, event):
+                calls.append("annotated:%s" % annotation.name)
+
+        ctx.add_observer(Duck())
+        ctx.dispatch_load(PmAccessEvent("load", 64, 8, 1))
+        ctx.dispatch_store(PmAccessEvent("store", 64, 8, 1))
+        ctx.dispatch_flush(PmAccessEvent("clwb", 64, 0))
+        ctx.dispatch_fence(PmAccessEvent("sfence", None, 0))
+        assert calls == ["load", "store", "annotated:lock", "flush",
+                         "fence"]

@@ -1,5 +1,9 @@
 """Scheduling policy tests."""
 
+import random
+
+import pytest
+
 from repro.runtime import (
     DelayInjectionPolicy,
     RoundRobinPolicy,
@@ -73,6 +77,24 @@ class TestSeededRandom:
         policy.reseed(6)
         second = [policy.pick(sched, threads, None).tid for _ in range(20)]
         assert first != second
+
+    def test_pick_draws_what_random_choice_draws(self):
+        # pick inlines Random.choice; the picks and the RNG state after
+        # them must be identical, whatever the candidate count.
+        sched = FakeScheduler()
+        for seed in range(200):
+            policy = SeededRandomPolicy(seed)
+            reference = random.Random(seed)
+            counts = random.Random(-seed).choices(range(1, 10), k=40)
+            for n in list(range(1, 10)) + counts:
+                threads = [FakeThread(i) for i in range(n)]
+                assert policy.pick(sched, threads, None) is \
+                    reference.choice(threads)
+            assert policy.rng.getstate() == reference.getstate()
+
+    def test_pick_from_nothing_raises(self):
+        with pytest.raises(IndexError):
+            SeededRandomPolicy(1).pick(FakeScheduler(), [], None)
 
 
 class TestDelayInjection:

@@ -219,7 +219,7 @@ class TestDelaySleeping:
 # ----------------------------------------------------------------------
 # park(): parked steps must reproduce the explicit spin loop exactly
 
-def run_program(program, policy, mode, **limits):
+def run_program(program, policy, mode, scheduler_cls=Scheduler, **limits):
     """Run ``program`` (one instruction list per thread) on ``policy``.
 
     Instructions: ``("op",)``, ``("lock", i)``, ``("unlock", i)``,
@@ -231,7 +231,7 @@ def run_program(program, policy, mode, **limits):
     scheduler.
     """
     recording = RecordingPolicy(policy)
-    scheduler = Scheduler(recording, **limits)
+    scheduler = scheduler_cls(recording, **limits)
     holders, flags, log = {}, set(), []
 
     def wait(kind, reason, blocked):
@@ -405,3 +405,122 @@ def test_park_equivalence_on_random_programs(program, policy, seed):
                                                   max_delay_steps=3)}[policy]
     assert_equivalent(make, program, max_steps=600, spin_hang_limit=20,
                       thread_spin_limit=50)
+
+
+# ----------------------------------------------------------------------
+# the hang scan runs only from the scan streak on; outcomes must equal a
+# full scan at every spin step
+
+class FullScanScheduler(Scheduler):
+    """Reference: budget and both hang conditions over every live thread
+    at every spin step."""
+
+    def _step_locked(self, thread, kind, reason):
+        self.steps += 1
+        thread.steps += 1
+        if kind == "spin":
+            thread.spin_streak += 1
+            self.spin_steps += 1
+            thread.blocked_reason = reason
+            live = self._live_threads
+            if self.steps >= self.max_steps:
+                self._abort_locked("budget")
+            elif all(t.spin_streak >= self.spin_hang_limit for t in live) \
+                    or any(t.spin_streak >= self.thread_spin_limit
+                           for t in live):
+                self._blocked_report = [
+                    (t.name, t.blocked_reason) for t in live
+                    if t.spin_streak >= self.spin_hang_limit]
+                self._abort_locked("hang")
+        else:
+            thread.spin_streak = 0
+            thread.blocked_reason = None
+            if self.steps >= self.max_steps:
+                self._abort_locked("budget")
+        if self._aborting:
+            return False
+        self.policy.on_yield(self, thread, kind)
+        return True
+
+
+def assert_limits_match_full_scan(make_policy, program, mode, **limits):
+    """Run ``program`` under Scheduler and FullScanScheduler; returns the
+    (identical) fingerprint and the Scheduler."""
+    runs = []
+    for cls in (Scheduler, FullScanScheduler):
+        fingerprint, scheduler = run_program(
+            program, make_policy(), mode, scheduler_cls=cls, **limits)
+        runs.append((fingerprint + (scheduler.parked_steps,
+                                    scheduler.handoffs), scheduler))
+    assert runs[0][0] == runs[1][0]
+    return runs[0]
+
+
+#: w0 works long enough for w1 and w2 to spin past any limit used below,
+#: then finishes without setting the flag they wait on.
+SPINNERS_OUTLIVE_WORKER = [
+    [("stall", 120), ("op",)],
+    [("wait", 0)],
+    [("op",), ("wait", 0)],
+]
+
+
+class TestScanStreak:
+    @pytest.mark.parametrize("mode", ["park", "loop"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_default_limits(self, mode, seed):
+        # w1 leaks lock 0: w0 and w2 spin until the default limits.
+        program = [[("op",), ("lock", 0)],
+                   [("lock", 0), ("op",)],
+                   [("op",), ("wait", 1)]]
+        fingerprint, scheduler = assert_limits_match_full_scan(
+            lambda: SeededRandomPolicy(seed), program, mode)
+        assert fingerprint[0] == "hang"
+        assert scheduler.spin_hang_limit == 400
+        fingerprint, _ = assert_limits_match_full_scan(
+            lambda: SeededRandomPolicy(seed), CONTENDED, mode)
+        assert fingerprint[0] == "ok"
+
+    @pytest.mark.parametrize("mode", ["park", "loop"])
+    def test_thread_limit_below_hang_limit(self, mode):
+        # A thread spin limit under the hang limit decides the hang.
+        program = [[("stall", 400)], [("wait", 0)], [("lock", 0)],
+                   [("lock", 0), ("op",)]]
+        fingerprint, scheduler = assert_limits_match_full_scan(
+            lambda: SeededRandomPolicy(2), program, mode,
+            spin_hang_limit=50, thread_spin_limit=20)
+        status, _steps, blocked = fingerprint[:3]
+        assert status == "hang"
+        assert blocked == []  # nobody reached the hang limit
+        assert max(t.spin_streak for t in scheduler.threads) == 20
+
+    @pytest.mark.parametrize("mode", ["park", "loop"])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_all_blocked_after_an_exit(self, mode, policy):
+        fingerprint, scheduler = assert_limits_match_full_scan(
+            POLICIES[policy], SPINNERS_OUTLIVE_WORKER, mode,
+            spin_hang_limit=10, thread_spin_limit=1000)
+        status, _steps, blocked = fingerprint[:3]
+        log = fingerprint[-3]
+        assert status == "hang"
+        assert (0, 1) in log  # w0 finished its program
+        assert sorted(name for name, _ in blocked) == ["w1", "w2"]
+        # "all blocked" became true when w0 exited, not at a crossing:
+        # both spinners were already past the hang limit.
+        streaks = [t.spin_streak for t in scheduler.threads[1:]]
+        assert min(streaks) > 10
+
+
+@settings(max_examples=30, deadline=None)
+@given(program=st.lists(instruction_lists(), min_size=2, max_size=3),
+       policy=st.sampled_from(sorted(POLICIES)),
+       seed=st.integers(0, 2**16),
+       limits=st.sampled_from([(20, 50), (30, 12), (8, 8)]))
+def test_scan_streak_on_random_programs(program, policy, seed, limits):
+    make = {"seeded": lambda: SeededRandomPolicy(seed),
+            "round-robin": RoundRobinPolicy,
+            "delay": lambda: DelayInjectionPolicy(seed, delay_prob=0.4,
+                                                  max_delay_steps=3)}[policy]
+    assert_limits_match_full_scan(make, program, "park", max_steps=600,
+                                  spin_hang_limit=limits[0],
+                                  thread_spin_limit=limits[1])
