@@ -10,8 +10,8 @@ Two representations exist:
 
 * **Interned ints** — :class:`CallSiteTable` assigns each distinct call
   site a small integer the first time it is seen, cached per
-  ``(f_code, f_lineno)`` so the hot path pays one frame fetch plus one
-  dict hit instead of string formatting per access. Events, coverage
+  ``(f_code, f_lasti)`` so the hot path pays one tuple plus one dict hit
+  per frame instead of string formatting per access. Events, coverage
   sets, the priority queue, and sync-point bookkeeping all carry these.
 * **Strings** — the table's string table resolves an id back to its
   ``module:function:line`` form at the detection boundary, so records,
@@ -21,6 +21,16 @@ Two representations exist:
 Ids are canonicalized through the string: two code objects that format to
 the same ``module:function:line`` share one id, keeping id↔string a
 bijection (coverage counts cannot drift from string-keyed behaviour).
+
+The cache key is the instruction offset ``f_lasti``, not ``f_lineno``:
+the former is a field read, while CPython 3.10+ computes the latter by
+scanning the code object's line table from its start on every read. An
+offset within one code object always maps to the same line, and several
+offsets on one line format to one string and so share one id; only a
+cache miss formats the frame (and reads ``f_lineno``). The same key
+caches whether the frame's module is instrumentation-internal, as the
+:data:`_INTERNAL` sentinel in place of an id, so a walk pays one tuple
+and one dict hit per frame.
 
 The module-level :func:`call_site`/:func:`stack_trace` functions remain
 for uninstrumented callers (recovery views, tests) and always return
@@ -34,6 +44,10 @@ _INTERNAL_PREFIXES = (
     "repro.pmem",
     "repro.runtime.scheduler",
 )
+
+
+#: ``CallSiteTable._by_frame`` value of an instrumentation-internal frame.
+_INTERNAL = object()
 
 
 def _describe(frame):
@@ -51,17 +65,16 @@ class CallSiteTable:
     threaded through the campaign into the instrumentation context.
     """
 
-    __slots__ = ("_by_frame", "_by_name", "_names", "_code_internal")
+    __slots__ = ("_by_frame", "_by_name", "_names")
 
     def __init__(self):
-        #: (f_code, f_lineno) -> interned id (the hot-path cache).
+        #: (f_code, f_lasti) -> interned id, or _INTERNAL (the hot-path
+        #: cache).
         self._by_frame = {}
         #: canonical string -> interned id (makes id↔string a bijection).
         self._by_name = {}
         #: interned id -> canonical string.
         self._names = []
-        #: f_code -> bool: is the frame's module instrumentation-internal?
-        self._code_internal = {}
 
     def __len__(self):
         return len(self._names)
@@ -79,12 +92,13 @@ class CallSiteTable:
             self._names.append(text)
         return site_id
 
-    def _intern_frame(self, frame):
-        key = (frame.f_code, frame.f_lineno)
-        site_id = self._by_frame.get(key)
-        if site_id is None:
+    def _miss(self, frame, key):
+        """Id of an uncached frame, or _INTERNAL; caches it under ``key``."""
+        if frame.f_globals.get("__name__", "").startswith(_INTERNAL_PREFIXES):
+            site_id = _INTERNAL
+        else:
             site_id = self.intern_name(_describe(frame))
-            self._by_frame[key] = site_id
+        self._by_frame[key] = site_id
         return site_id
 
     def intern_caller(self, skip=2):
@@ -94,16 +108,14 @@ class CallSiteTable:
             skip: Frames to skip before searching (the hook method itself).
         """
         frame = sys._getframe(skip)
-        code_internal = self._code_internal
+        by_frame = self._by_frame
         while frame is not None:
-            code = frame.f_code
-            internal = code_internal.get(code)
-            if internal is None:
-                internal = frame.f_globals.get("__name__", "") \
-                    .startswith(_INTERNAL_PREFIXES)
-                code_internal[code] = internal
-            if not internal:
-                return self._intern_frame(frame)
+            key = (frame.f_code, frame.f_lasti)
+            site_id = by_frame.get(key)
+            if site_id is None:
+                site_id = self._miss(frame, key)
+            if site_id is not _INTERNAL:
+                return site_id
             frame = frame.f_back
         return self.intern_name("<unknown>")
 
@@ -111,16 +123,14 @@ class CallSiteTable:
         """Interned call-site ids from innermost outwards, as a tuple."""
         frames = []
         frame = sys._getframe(skip)
-        code_internal = self._code_internal
+        by_frame = self._by_frame
         while frame is not None and len(frames) < limit:
-            code = frame.f_code
-            internal = code_internal.get(code)
-            if internal is None:
-                internal = frame.f_globals.get("__name__", "") \
-                    .startswith(_INTERNAL_PREFIXES)
-                code_internal[code] = internal
-            if not internal:
-                frames.append(self._intern_frame(frame))
+            key = (frame.f_code, frame.f_lasti)
+            site_id = by_frame.get(key)
+            if site_id is None:
+                site_id = self._miss(frame, key)
+            if site_id is not _INTERNAL:
+                frames.append(site_id)
             frame = frame.f_back
         return tuple(frames)
 

@@ -4,7 +4,8 @@ Consumes anything the observability layer writes — a ``--trace-out``
 event stream, a ``--metrics-out`` registry dump, or a file mixing both
 record shapes — and reduces it to the quantities the paper's evaluation
 argues with: coverage growth, candidate discovery rate, and validation
-verdict ratios.
+verdict ratios. A metrics dump that holds ``scheduler.os_switches`` also
+gets OS context switches per scheduler handoff.
 """
 
 import json
@@ -66,6 +67,7 @@ def summarize_records(records):
         "seeds": 0,
         "workers": {},
         "metrics": {},
+        "switches_per_handoff": None,
     }
     first_cov = last_cov = None
     for record in records:
@@ -128,6 +130,11 @@ def summarize_records(records):
     if summary["campaigns"]:
         summary["candidate_rate"] = round(
             summary["candidates"] / summary["campaigns"], 4)
+    handoffs = summary["metrics"].get("scheduler.handoffs", {}).get("value")
+    switches = summary["metrics"].get("scheduler.os_switches", {}) \
+        .get("value")
+    if handoffs and switches is not None:
+        summary["switches_per_handoff"] = round(switches / handoffs, 4)
     total_verdicts = sum(summary["verdicts"].values())
     if total_verdicts:
         summary["verdict_ratios"] = {
@@ -197,6 +204,10 @@ def render_stats(summary):
             for status, count in sorted(summary["workers"].items())))
     if summary["metrics"]:
         lines.append("metrics (%d):" % len(summary["metrics"]))
-        lines.extend(_format_metric(name, data)
-                     for name, data in sorted(summary["metrics"].items()))
+        for name, data in sorted(summary["metrics"].items()):
+            line = _format_metric(name, data)
+            if name == "scheduler.os_switches" and \
+                    summary["switches_per_handoff"] is not None:
+                line += " (%.2f per handoff)" % summary["switches_per_handoff"]
+            lines.append(line)
     return "\n".join(lines)

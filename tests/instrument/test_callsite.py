@@ -140,3 +140,78 @@ def test_static_strings_unify_with_runtime_interned_frames():
     static_string = "%s:writer:%d" % (__name__, lineno)
     assert table.intern_name(static_string) == runtime_id
     assert table.name(runtime_id) == static_string
+
+
+# Frames of a module under an internal prefix, which every walk passes
+# over: ``through(fn, *args)`` calls ``fn`` from such a frame.
+_INTERNAL_GLOBALS = {"__name__": "repro.instrument._interleaved"}
+exec("def through(fn, *args):\n    return fn(*args)\n", _INTERNAL_GLOBALS)
+through = _INTERNAL_GLOBALS["through"]
+
+
+def caller_both(table):
+    """``intern_caller`` resolved, and ``call_site``, for the same frame."""
+    return table.name(table.intern_caller(skip=2)), call_site(skip=2)
+
+
+def stack_both(table, limit):
+    """``intern_stack`` resolved, and ``stack_trace``, for the same frame."""
+    return (list(table.names(table.intern_stack(skip=2, limit=limit))),
+            stack_trace(skip=2, limit=limit))
+
+
+class TestFrameCacheMatchesStrings:
+    """The table caches ids per instruction offset; every id must still
+    resolve to the string the uncached walk formats for that frame, both
+    on the first (miss) and on later (hit) lookups."""
+
+    def make(self):
+        from repro.instrument import CallSiteTable
+        return CallSiteTable()
+
+    def test_two_accesses_on_one_line(self):
+        table = self.make()
+        for _ in range(2):
+            first, second = caller_both(table), caller_both(table)
+            assert first[0] == first[1]
+            assert second[0] == second[1]
+
+    def test_two_instructions_on_one_line_share_an_id(self):
+        table = self.make()
+        a, b = table.intern_caller(skip=1), table.intern_caller(skip=1)
+        assert a == b
+        assert len(table) == 1
+
+    def test_call_spanning_several_lines(self):
+        table = self.make()
+        for _ in range(2):
+            interned, formatted = caller_both(
+                table,
+            )
+            assert interned == formatted
+
+    def test_same_instruction_from_a_loop(self):
+        table = self.make()
+        seen = set()
+        for _ in range(5):
+            interned, formatted = caller_both(table)
+            assert interned == formatted
+            seen.add(table.intern_caller(skip=1))
+        assert len(seen) == 1
+        assert len(table) == 2
+
+    def test_deep_stack_with_internal_frames_stops_at_limit(self):
+        table = self.make()
+        limit = 16
+
+        def descend(depth):
+            if depth == 0:
+                return stack_both(table, limit)
+            return through(descend, depth - 1)
+
+        for _ in range(2):
+            interned, formatted = descend(limit + 8)
+            assert len(interned) == limit
+            assert interned == formatted
+            assert not any(site.startswith("repro.instrument")
+                           for site in interned)

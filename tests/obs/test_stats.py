@@ -174,3 +174,27 @@ class TestTornTail:
                          "\n".join(lines[1:]) + "\n")
         with pytest.raises(ValueError, match="not JSON"):
             summarize_path(path)
+
+
+def test_switches_per_handoff_shown_next_to_handoffs():
+    records = [
+        {"type": "metric", "name": "scheduler.handoffs", "kind": "counter",
+         "value": 200},
+        {"type": "metric", "name": "scheduler.os_switches",
+         "kind": "counter", "value": 250},
+    ]
+    summary = summarize_records(records)
+    assert summary["switches_per_handoff"] == 1.25
+    lines = render_stats(summary).splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if "scheduler.handoffs" in line)
+    assert "scheduler.os_switches" in lines[at + 1]
+    assert "(1.25 per handoff)" in lines[at + 1]
+
+
+def test_switches_per_handoff_absent_without_os_switches():
+    summary = summarize_records([
+        {"type": "metric", "name": "scheduler.handoffs", "kind": "counter",
+         "value": 200}])
+    assert summary["switches_per_handoff"] is None
+    assert "per handoff" not in render_stats(summary)

@@ -1,9 +1,12 @@
 """Scheduler tests: determinism, hang detection, budgets, errors."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime import scheduler as scheduler_module
 from repro.runtime import (
     DelayInjectionPolicy,
     RecordingPolicy,
@@ -524,3 +527,85 @@ def test_scan_streak_on_random_programs(program, policy, seed, limits):
     assert_limits_match_full_scan(make, program, "park", max_steps=600,
                                   spin_hang_limit=limits[0],
                                   thread_spin_limit=limits[1])
+
+
+# ----------------------------------------------------------------------
+# simulated threads run under SCHED_BATCH where the OS offers it; the
+# schedule never depends on whether it does
+
+needs_sched_policy = pytest.mark.skipif(
+    not hasattr(os, "sched_getscheduler") or not hasattr(os, "SCHED_BATCH"),
+    reason="no per-thread scheduling policy on this platform")
+
+
+def contended_fingerprint():
+    fingerprint, scheduler = run_program(
+        CONTENDED, SeededRandomPolicy(5), "park", spin_hang_limit=200)
+    return fingerprint + (scheduler.handoffs,)
+
+
+class TestBatchPolicy:
+    @needs_sched_policy
+    def test_simulated_threads_run_batch_and_driver_keeps_its_policy(self):
+        driver_policy = os.sched_getscheduler(0)
+        scheduler = Scheduler(RoundRobinPolicy())
+        seen = []
+
+        def worker():
+            seen.append(os.sched_getscheduler(0))
+            scheduler.yield_point("op")
+
+        scheduler.spawn(worker)
+        scheduler.spawn(worker)
+        assert scheduler.run().ok
+        assert seen == [os.SCHED_BATCH] * 2
+        assert os.sched_getscheduler(0) == driver_policy
+
+    def test_refused_policy_leaves_the_schedule_unchanged(self, monkeypatch):
+        expected = contended_fingerprint()
+
+        def refuse(*_args):
+            raise PermissionError("refused")
+
+        monkeypatch.setattr(os, "sched_setscheduler", refuse, raising=False)
+        assert contended_fingerprint() == expected
+
+    def test_missing_policy_call_leaves_the_schedule_unchanged(
+            self, monkeypatch):
+        expected = contended_fingerprint()
+        monkeypatch.delattr(os, "sched_setscheduler", raising=False)
+        assert contended_fingerprint() == expected
+
+
+needs_thread_rusage = pytest.mark.skipif(
+    scheduler_module.RUSAGE_THREAD is None,
+    reason="per-thread rusage is Linux-only")
+
+
+@needs_thread_rusage
+class TestOsSwitches:
+    def test_counted_with_a_registry(self):
+        from repro.obs.metrics import Metrics
+
+        metrics = Metrics()
+        scheduler = Scheduler(RoundRobinPolicy(), metrics=metrics)
+        for _ in range(2):
+            scheduler.spawn(lambda: [scheduler.yield_point("op")
+                                     for _ in range(10)])
+        assert scheduler.run().ok
+        assert scheduler.os_switches > 0
+        assert metrics.value("scheduler.os_switches") == \
+            scheduler.os_switches
+
+    def test_not_read_without_a_registry(self, monkeypatch):
+        reads = []
+        getrusage = scheduler_module.getrusage
+
+        def spy(who):
+            reads.append(who)
+            return getrusage(who)
+
+        monkeypatch.setattr(scheduler_module, "getrusage", spy)
+        outcome, log = collect_run(RoundRobinPolicy(), n_threads=2, steps=5)
+        assert outcome.ok and len(log) == 10
+        assert reads == []
