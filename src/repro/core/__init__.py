@@ -14,6 +14,7 @@ from .coverage import (
     AliasCoverageCollector,
     BranchCoverageCollector,
     CoverageSet,
+    FeedbackCollector,
 )
 from .corpus import (
     Corpus,
@@ -71,6 +72,7 @@ __all__ = [
     "CoverageSet",
     "BranchCoverageCollector",
     "AliasCoverageCollector",
+    "FeedbackCollector",
     "Seed",
     "OperationMutator",
     "AflByteMutator",

@@ -11,8 +11,7 @@ from ..detect.checkers import InconsistencyChecker
 from ..instrument.context import InstrumentationContext
 from ..instrument.hooks import PmView
 from ..runtime.scheduler import Scheduler
-from .coverage import AliasCoverageCollector, BranchCoverageCollector
-from .priority import AccessProfiler
+from .coverage import FeedbackCollector
 from .syncpoints import SyncPointController
 
 
@@ -82,9 +81,7 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
     checker = ctx.add_observer(InconsistencyChecker(
         state.pool, snapshot_images=snapshot_images, callsites=ctx.callsites,
         evict_fraction=evict_fraction, evict_rng=evict_rng))
-    branch = ctx.add_observer(BranchCoverageCollector())
-    alias = ctx.add_observer(AliasCoverageCollector())
-    profiler = ctx.add_observer(AccessProfiler())
+    feedback = ctx.add_observer(FeedbackCollector())
     for observer in extra_observers:
         ctx.add_observer(observer)
     scheduler = (scheduler_factory or Scheduler)(
@@ -111,5 +108,10 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
     for tid, ops in enumerate(seed_threads):
         scheduler.spawn(make_worker(ops), "worker-%d" % tid)
     outcome = scheduler.run()
-    return CampaignResult(outcome, checker, branch.edges, alias.pairs,
-                          profiler, controller, op_errors[0])
+    if metrics is not None:
+        metrics.counter("callsite.stack_walks").inc(checker.stack_walks)
+        metrics.counter("detect.records_minted").inc(
+            len(checker.candidates) + len(checker.inconsistencies)
+            + len(checker.sync_inconsistencies))
+    return CampaignResult(outcome, checker, feedback.edges, feedback.pairs,
+                          feedback, controller, op_errors[0])

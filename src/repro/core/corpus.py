@@ -29,6 +29,7 @@ import hashlib
 import json
 import os
 
+from ..instrument.callsite import CallSiteTable
 from .session import atomic_write_json
 
 #: Bump when the per-seed JSON layout changes; files with another
@@ -416,13 +417,14 @@ class Corpus:
 # ----------------------------------------------------------------------
 # coverage measurement + minimize-by-coverage (``repro corpus minimize``)
 
-def measure_seed_coverage(target, seed, base_seed=0):
+def measure_seed_coverage(target, seed, base_seed=0, callsites=None):
     """Branch-edge and alias-pair sets one campaign of ``seed`` covers.
 
     Deterministic given ``base_seed`` (fresh state, seeded scheduler, no
-    crash imaging or tainting — this is a pure coverage probe).
+    crash imaging or tainting — this is a pure coverage probe). Edges and
+    pairs hold call-site ids interned in ``callsites`` (a private table
+    when None); probes compare only when they share one table.
     """
-    from ..instrument.callsite import CallSiteTable
     from ..runtime.policies import SeededRandomPolicy
     from .campaign import run_campaign
     from .checkpoints import make_state_provider
@@ -432,23 +434,26 @@ def measure_seed_coverage(target, seed, base_seed=0):
                             SeededRandomPolicy(policy_seed(base_seed, 0)),
                             taint_enabled=False, snapshot_images=False,
                             capture_stacks=False,
-                            callsites=CallSiteTable())
+                            callsites=callsites if callsites is not None
+                            else CallSiteTable())
     return set(campaign.branch_edges), set(campaign.alias_pairs)
 
 
 def minimize_by_coverage(corpus, target, base_seed=0):
     """Greedy set-cover over per-seed coverage; returns (kept, dropped).
 
-    Each retained seed is probed once (:func:`measure_seed_coverage`);
-    seeds are then kept largest-marginal-coverage-first until the union
-    is covered, ties broken by retention order, so the result is
+    Each retained seed is probed once (:func:`measure_seed_coverage`),
+    all probes interning call sites in one table so equal ids mean equal
+    sites; seeds are then kept largest-marginal-coverage-first until the
+    union is covered, ties broken by retention order, so the result is
     deterministic.  The corpus itself is not modified — callers decide
     whether to :meth:`Corpus.discard` the dropped entries.
     """
+    callsites = CallSiteTable()
     probes = []
     for entry in corpus:
         branch, alias = measure_seed_coverage(target, entry.seed,
-                                              base_seed)
+                                              base_seed, callsites)
         covered = {("b",) + (edge if isinstance(edge, tuple) else (edge,))
                    for edge in branch}
         covered |= {("a",) + (pair if isinstance(pair, tuple) else (pair,))

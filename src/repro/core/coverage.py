@@ -7,6 +7,10 @@ different threads. Conventional branch coverage is approximated here as
 edge coverage over instrumented instruction IDs (the preceding access site
 → the current one, per thread), which plays the same feedback role the
 AFL-style bitmap plays in the original.
+
+:class:`FeedbackCollector` gathers both per campaign, together with the
+shared-access profile behind :mod:`repro.core.priority`'s queue, from one
+hook per event kind.
 """
 
 from ..instrument.events import Observer
@@ -64,71 +68,93 @@ class CoverageSet:
         return item in self.items
 
 
-class BranchCoverageCollector(Observer):
-    """Per-campaign edge coverage over instrumented access sites."""
+class FeedbackCollector(Observer):
+    """Per-campaign feedback for both fuzzing tiers, from one observer.
 
-    def __init__(self):
-        self.edges = set()
-        self._prev = {}
+    One hook per event kind reads the access's thread, instruction and
+    address once and updates all three:
 
-    def _record(self, event):
-        prev = self._prev.get(event.tid)
-        if prev is not None:
-            self.edges.add((prev, event.instr_id))
-        else:
-            self.edges.add((None, event.instr_id))
-        self._prev[event.tid] = event.instr_id
-
-    on_load = _record
-    on_store = _record
-    on_flush = _record
-    on_fence = _record
-
-
-class AliasCoverageCollector(Observer):
-    """Per-campaign PM alias pair coverage (§4.2.1).
-
-    Tracks the previous access identity per touched *word* (not the raw
-    start address: a multi-word or unaligned access aliases with accesses
-    at any offset into the same words); when the next access to a word
-    comes from a *different thread*, the pair ⟨(I₁,P₁,T₁),(I₂,P₂,T₂)⟩ is
-    recorded. Thread IDs are normalized out of the stored pair so a pair
-    is "the same interleaving shape" regardless of which worker threads
-    happened to execute it.
+    * ``edges`` — branch coverage: (previous access site of this thread
+      → this site), over loads, stores, flushes and fences (the first
+      access of a thread has predecessor None).
+    * ``pairs`` — PM alias pair coverage (§4.2.1). The previous access
+      identity ``(I, P, T)`` is kept per touched *word* (not per start
+      address: a multi-word or unaligned access aliases with accesses at
+      any offset into the same words); when the next load or store of a
+      word comes from a *different thread*, ⟨(I₁,P₁),(I₂,P₂)⟩ is
+      recorded. Thread ids are left out of the pair, so a pair is "the
+      same interleaving shape" whichever worker threads executed it.
+    * ``profile`` — the shared-access profile (§4.2.2) that
+      :meth:`~repro.core.priority.SharedAccessQueue.update_from` folds
+      in: start address → ``{"loads": {site: n}, "stores": {site: n},
+      "tids": set, "count": n}`` over loads and stores.
     """
 
     def __init__(self):
+        self.edges = set()
         self.pairs = set()
+        self.profile = {}
+        #: tid -> site of that thread's previous access.
+        self._prev = {}
+        #: word -> (site, persistency state, tid) of its previous access.
         self._last = {}
 
-    def _identity(self, event):
-        if event.kind == "load":
+    def _access(self, event):
+        """A load (``on_load``) or a store, ntstore or CAS (``on_store``)."""
+        tid = event.tid
+        instr = event.instr_id
+        addr = event.addr
+        prev = self._prev
+        self.edges.add((prev.get(tid), instr))
+        prev[tid] = instr
+        kind = event.kind
+        if kind == "load":
             state = STATE_DIRTY if event.nonpersisted else STATE_CLEAN
-        elif event.kind == "ntstore":
-            state = STATE_CLEAN
+            sites = "loads"
         else:
-            state = STATE_DIRTY
-        return (event.instr_id, state, event.tid)
-
-    def _record(self, event):
+            state = STATE_CLEAN if kind == "ntstore" else STATE_DIRTY
+            sites = "stores"
+        entry = self.profile.get(addr)
+        if entry is None:
+            entry = self.profile[addr] = {
+                "loads": {}, "stores": {}, "tids": set(), "count": 0}
+        counts = entry[sites]
+        counts[instr] = counts.get(instr, 0) + 1
+        entry["tids"].add(tid)
+        entry["count"] += 1
         size = event.size
         if size <= 0:
             return
-        identity = self._identity(event)
         last = self._last
-        first_word = event.addr >> WORD_SHIFT
-        last_word = (event.addr + size - 1) >> WORD_SHIFT
+        first_word = addr >> WORD_SHIFT
+        last_word = (addr + size - 1) >> WORD_SHIFT
         if first_word == last_word:
-            prev = last.get(first_word)
-            if prev is not None and prev[2] != identity[2]:
-                self.pairs.add((prev[0], prev[1], identity[0], identity[1]))
-            last[first_word] = identity
+            before = last.get(first_word)
+            if before is not None and before[2] != tid:
+                self.pairs.add((before[0], before[1], instr, state))
+            last[first_word] = (instr, state, tid)
             return
-        for word in range(first_word, last_word + 1):
-            prev = last.get(word)
-            if prev is not None and prev[2] != identity[2]:
-                self.pairs.add((prev[0], prev[1], identity[0], identity[1]))
-            last[word] = identity
+        # Multi-word: each distinct previous identity pairs once, and
+        # every word takes the new identity in one update.
+        words = range(first_word, last_word + 1)
+        pairs = self.pairs
+        for before in set(map(last.get, words)):
+            if before is not None and before[2] != tid:
+                pairs.add((before[0], before[1], instr, state))
+        last.update(dict.fromkeys(words, (instr, state, tid)))
 
-    on_load = _record
-    on_store = _record
+    on_load = on_store = _access
+
+    def on_flush(self, event):
+        """A CLWB or SFENCE: a branch edge only."""
+        tid = event.tid
+        instr = event.instr_id
+        prev = self._prev
+        self.edges.add((prev.get(tid), instr))
+        prev[tid] = instr
+
+    on_fence = on_flush
+
+
+#: The collector under its per-metric names (one class behind all three).
+BranchCoverageCollector = AliasCoverageCollector = FeedbackCollector

@@ -13,33 +13,12 @@ form: entries feed the sync-point controller, which compares them against
 other interned ids from the same table.
 """
 
-from ..instrument.events import Observer
+from .coverage import FeedbackCollector
 
-
-class AccessProfiler(Observer):
-    """Per-campaign profile: address → load/store sites, tids, counts."""
-
-    def __init__(self):
-        self.profile = {}
-
-    def _entry(self, addr):
-        entry = self.profile.get(addr)
-        if entry is None:
-            entry = {"loads": {}, "stores": {}, "tids": set(), "count": 0}
-            self.profile[addr] = entry
-        return entry
-
-    def on_load(self, event):
-        entry = self._entry(event.addr)
-        entry["loads"][event.instr_id] = entry["loads"].get(event.instr_id, 0) + 1
-        entry["tids"].add(event.tid)
-        entry["count"] += 1
-
-    def on_store(self, event):
-        entry = self._entry(event.addr)
-        entry["stores"][event.instr_id] = entry["stores"].get(event.instr_id, 0) + 1
-        entry["tids"].add(event.tid)
-        entry["count"] += 1
+#: The per-campaign shared-access profile (address → load/store sites,
+#: tids, counts) is gathered by the campaign's one feedback collector;
+#: this name stays for callers that use it only as a profiler.
+AccessProfiler = FeedbackCollector
 
 
 class SharedAccessEntry:
@@ -87,7 +66,8 @@ class SharedAccessQueue:
             self._m_pending = self._m_groups = None
 
     def update_from(self, profiler):
-        """Fold one campaign's :class:`AccessProfiler` into the queue."""
+        """Fold one campaign's profile (a :class:`~repro.core.coverage.
+        FeedbackCollector`'s ``profile``) into the queue."""
         for addr, info in profiler.profile.items():
             if len(info["tids"]) < 2:
                 continue

@@ -13,6 +13,12 @@
   post-failure validation, §4.4).
 * **Sync inconsistencies** — stores to annotated synchronization variables,
   deduplicated per (annotation type, store site).
+
+Every record carries its access's call-site stack. The hook layer hands
+an event only the frame that stack's walk starts from; the checker walks
+it when the event mints a new record, at most once per event, while the
+frame is still live during dispatch. Accesses that mint nothing (almost
+all of them) never pay for a stack.
 """
 
 from ..instrument.events import Observer
@@ -57,6 +63,8 @@ class InconsistencyChecker(Observer):
         self._inconsistency_keys = set()
         self._sync_keys = set()
         self._labels = {}
+        #: Frames walked into stacks (at most one per minting event).
+        self.stack_walks = 0
 
     # ------------------------------------------------------------------
     # interned-id resolution (the int → string boundary)
@@ -66,7 +74,15 @@ class InconsistencyChecker(Observer):
             return self.callsites.name(instr_id)
         return instr_id
 
-    def _stack_names(self, stack):
+    def _stack(self, event):
+        """Resolved stack of ``event``, walking its frame at most once."""
+        frame = event.frame
+        if frame is not None:
+            # Drop the frame: it is only valid during dispatch.
+            event.frame = None
+            event.stack = self.callsites.intern_stack_from(frame)
+            self.stack_walks += 1
+        stack = event.stack
         if self.callsites is not None and stack:
             return self.callsites.names(stack)
         return stack
@@ -107,7 +123,7 @@ class InconsistencyChecker(Observer):
                 candidate = CandidateRecord(
                     len(self.candidates), event.addr, event.size,
                     self._site(event.instr_id), writer.instr_id, event.tid,
-                    writer.thread_id, self._stack_names(event.stack),
+                    writer.thread_id, self._stack(event),
                     writer.seq,
                 )
                 self._candidate_keys[key] = candidate
@@ -157,7 +173,7 @@ class InconsistencyChecker(Observer):
             self._inconsistency_keys.add(key)
             record = InconsistencyRecord(
                 candidate, side_effect_instr, event.addr, event.size,
-                label in event.addr_taint, self._stack_names(event.stack),
+                label in event.addr_taint, self._stack(event),
                 self._image(event.addr, event.size),
             )
             assert record.dedup_key() == key
@@ -184,7 +200,7 @@ class InconsistencyChecker(Observer):
         record = SyncInconsistencyRecord(
             annotation.name, event.addr, annotation.size,
             annotation.init_val, event.value, self._site(event.instr_id),
-            self._stack_names(event.stack),
+            self._stack(event),
             self._image(event.addr, annotation.size),
         )
         self.sync_inconsistencies.append(record)

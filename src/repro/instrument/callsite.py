@@ -32,6 +32,11 @@ caches whether the frame's module is instrumentation-internal, as the
 :data:`_INTERNAL` sentinel in place of an id, so a walk pays one tuple
 and one dict hit per frame.
 
+A stack is walked lazily: the hook layer hands its event the starting
+frame, and the checker calls :meth:`CallSiteTable.intern_stack_from` only
+when that event mints a record (:meth:`CallSiteTable.intern_stack` is the
+same walk from the caller's own frame).
+
 The module-level :func:`call_site`/:func:`stack_trace` functions remain
 for uninstrumented callers (recovery views, tests) and always return
 strings.
@@ -121,8 +126,13 @@ class CallSiteTable:
 
     def intern_stack(self, skip=2, limit=16):
         """Interned call-site ids from innermost outwards, as a tuple."""
+        return self.intern_stack_from(sys._getframe(skip), limit)
+
+    def intern_stack_from(self, frame, limit=16):
+        """Interned call-site ids of ``frame`` and its callers, innermost
+        first, as a tuple (the walk :meth:`intern_stack` starts from its
+        caller's frame; a checker starts it from an event's frame)."""
         frames = []
-        frame = sys._getframe(skip)
         by_frame = self._by_frame
         while frame is not None and len(frames) < limit:
             key = (frame.f_code, frame.f_lasti)

@@ -25,8 +25,11 @@ class InstrumentationContext:
         annotations: Optional :class:`~repro.instrument.annotations.
             AnnotationRegistry` of the target.
         taint_enabled: Disable to measure the taint ablation.
-        capture_stacks: Record stacks for candidate loads / annotated
-            stores (needed by the whitelist and bug reports).
+        capture_stacks: Hand the events of loads that see non-persisted
+            writers, and of all stores, the frame their stack walk starts
+            from, so every candidate, inconsistency and sync record
+            carries a stack (needed by the whitelist and bug reports).
+            The checker walks a frame only when the event mints a record.
         metrics: Optional :class:`~repro.obs.metrics.Metrics` registry;
             hooks bind their counters from it once at construction, so
             the disabled path costs one None-check per access.

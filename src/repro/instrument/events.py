@@ -18,23 +18,29 @@ class PmAccessEvent:
             ``ctx.callsites.name(event.instr_id)``); hand-built events in
             tests may carry strings directly — detection-boundary code
             resolves both transparently.
-        stack: Call-site stack (innermost first; interned ids from
-            instrumented accesses).
+        stack: Call-site stack (innermost first). Hand-built events may
+            carry strings; on an instrumented access it stays empty until
+            a checker walks ``frame`` into interned ids.
+        frame: The frame a stack walk of this access starts from, or
+            None when no stack is wanted. Valid only while the event is
+            dispatched: an observer may walk it but must not keep it.
         nonpersisted: StoreRecords of non-persisted writers overlapping a
             load's range (loads only).
         taint: Label set flowing into a store (content ∪ address flow).
         addr_taint: Label subset that arrived via the address operand.
         same_value: Store only: the written bytes equal what memory
             already held (an idempotent write-back, e.g. a flush helper).
+            Computed only for tainted stores, the only ones a checker
+            consults; False otherwise.
     """
 
     __slots__ = ("kind", "addr", "size", "value", "thread", "tid",
                  "instr_id", "stack", "nonpersisted", "taint", "addr_taint",
-                 "same_value")
+                 "same_value", "frame")
 
     def __init__(self, kind, addr, size, value=None, thread=None,
                  instr_id=None, stack=(), nonpersisted=(), taint=frozenset(),
-                 addr_taint=frozenset(), same_value=False):
+                 addr_taint=frozenset(), same_value=False, frame=None):
         self.kind = kind
         self.addr = addr
         self.size = size
@@ -47,6 +53,7 @@ class PmAccessEvent:
         self.taint = taint
         self.addr_taint = addr_taint
         self.same_value = same_value
+        self.frame = frame
 
     def __repr__(self):
         return "<PmAccessEvent %s addr=%s tid=%d instr=%s>" % (

@@ -17,10 +17,17 @@ Instruction ids on events are *interned ints* from the context's
 attribution in the memory substrate receives the resolved string (one
 list index here) so scans and reports keep their ``module:function:line``
 form without per-event resolution downstream.
+
+Stacks are lazy: an event carries the frame its stack walk would start
+from (``PmAccessEvent.frame``), and the checker walks it only for an
+access that mints a record. A store reads the bytes it overwrites
+(``same_value``) only when it is tainted, the only case a checker
+consults.
 """
 
 import functools
 import struct
+import sys
 
 from ..pmem.cacheline import CACHE_LINE_SIZE, align_down
 from .events import PmAccessEvent
@@ -62,12 +69,14 @@ class PmView:
             self._m_loads = self._m_stores = self._m_cas = None
             self._m_flushes = self._m_fences = None
 
-    # Each access below resolves its simulated thread, yields and (for
-    # an interesting access) captures its stack inline. The call-site
-    # walks start one frame above the public method
-    # (``intern_caller(skip=3)`` from ``_load``/``_store``) or at it
-    # (``intern_stack(skip=2)``) and pass over instrumentation frames,
-    # so ids and stacks name the target's code.
+    # Each access below resolves its simulated thread and yields inline.
+    # The call-site walk starts at the public method's caller
+    # (``intern_caller(skip=3)`` from ``_load``/``_store``) and passes
+    # over instrumentation frames, so ids name the target's code. A load
+    # that sees non-persisted writers, and every store, hands its event
+    # that same caller frame (``intern_caller`` already made its frame
+    # object; the public method it skips is internal anyway) for the
+    # checker to walk into a stack if the event mints a record.
 
     # ------------------------------------------------------------------
     # loads
@@ -91,9 +100,9 @@ class PmView:
         writers = memory.nonpersisted_writers(addr_int, size)
         value = decode(memory.load(addr_int, size))
         event = PmAccessEvent(
-            "load", addr_int, size, value, thread, instr,
-            sites.intern_stack(skip=2) if writers and ctx.capture_stacks
-            else (), writers,
+            "load", addr_int, size, value, thread, instr, (), writers,
+            frame=sys._getframe(2) if writers and ctx.capture_stacks
+            else None,
         )
         minted = ctx.dispatch_load(event)
         labels = ctx.shadow_load(addr_int, size)
@@ -132,15 +141,15 @@ class PmView:
         taint = content_taint | addr_taint
         tid = thread.tid if thread is not None else -1
         memory = self._memory
-        same_value = memory.load(addr_int, size) == encoded
+        same_value = memory.load(addr_int, size) == encoded if taint \
+            else False
         memory.store(addr_int, encoded, tid, sites.name(instr),
                      ntstore=ntstore)
         ctx.shadow_store(addr_int, size, content_taint)
         event = PmAccessEvent(
             "ntstore" if ntstore else "store", addr_int, size, value,
-            thread, instr,
-            sites.intern_stack(skip=2) if taint and ctx.capture_stacks
-            else (), (), taint, addr_taint, same_value=same_value,
+            thread, instr, (), (), taint, addr_taint, same_value,
+            sys._getframe(2) if ctx.capture_stacks else None,
         )
         ctx.dispatch_store(event)
         if ctx.controller is not None and thread is not None:
@@ -189,9 +198,8 @@ class PmView:
         writers = memory.nonpersisted_writers(addr_int, 8)
         old = _U64.unpack(memory.load(addr_int, 8))[0]
         load_event = PmAccessEvent(
-            "load", addr_int, 8, old, thread, instr,
-            sites.intern_stack(skip=2) if writers and capture else (),
-            writers,
+            "load", addr_int, 8, old, thread, instr, (), writers,
+            frame=sys._getframe(1) if writers and capture else None,
         )
         minted = ctx.dispatch_load(load_event)
         labels = ctx.shadow_load(addr_int, 8) | minted
@@ -206,9 +214,9 @@ class PmView:
                      tid, sites.name(instr), ntstore=False)
         ctx.shadow_store(addr_int, 8, content_taint)
         store_event = PmAccessEvent(
-            "cas", addr_int, 8, new, thread, instr,
-            sites.intern_stack(skip=2) if taint and capture else (), (),
-            taint, addr_taint,
+            "cas", addr_int, 8, new, thread, instr, (), (), taint,
+            addr_taint,
+            frame=sys._getframe(1) if capture else None,
         )
         ctx.dispatch_store(store_event)
         if ctx.controller is not None and thread is not None:

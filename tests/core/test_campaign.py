@@ -76,3 +76,37 @@ class TestRunCampaign:
         result = run_toy([[{"op": "bump", "key": 0}] * 4])
         assert not result.checker.inter_candidates
         assert result.checker.intra_candidates
+
+
+@pytest.mark.parametrize("name", ["P-CLHT", "memcached-pmem"])
+def test_stack_walks_at_most_records_minted(name, monkeypatch):
+    """Stacks are walked only for events that mint a record, so no
+    campaign walks more stacks than it mints records; the run's metrics
+    carry both totals."""
+    import repro.core.engine as engine
+    from repro.core import PMRace, PMRaceConfig
+    from repro.obs import Metrics
+    from repro.targets import make_target
+
+    run = engine.run_campaign
+    per_campaign = []
+
+    def counted(*args, **kwargs):
+        result = run(*args, **kwargs)
+        checker = result.checker
+        per_campaign.append((checker.stack_walks, len(checker.candidates)
+                             + len(checker.inconsistencies)
+                             + len(checker.sync_inconsistencies)))
+        return result
+
+    monkeypatch.setattr(engine, "run_campaign", counted)
+    metrics = Metrics()
+    PMRace(make_target(name), PMRaceConfig(max_campaigns=8, base_seed=7),
+           metrics=metrics).run()
+    assert len(per_campaign) == 8
+    assert all(walks <= minted for walks, minted in per_campaign)
+    walks = sum(walks for walks, _minted in per_campaign)
+    assert walks > 0
+    assert metrics.value("callsite.stack_walks") == walks
+    assert metrics.value("detect.records_minted") == sum(
+        minted for _walks, minted in per_campaign)

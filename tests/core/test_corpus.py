@@ -19,8 +19,10 @@ from repro.core import (
     Seed,
     seed_digest,
 )
+from repro.core import corpus as corpus_module
 from repro.core.corpus import CORPUS_SCHEMA_VERSION, SeedEntry
-from repro.targets import OperationSpace
+from repro.instrument.callsite import CallSiteTable
+from repro.targets import OperationSpace, make_target
 
 from .toy_target import ToyTarget
 
@@ -277,3 +279,50 @@ class TestExportMerge:
         assert [e["stats"]["campaigns"] for e in a.corpus_seeds] \
             == [2 * n for n in campaigns_before]
         assert a.summary()["corpus_seeds"] == len(a.corpus_seeds)
+
+
+class TestMinimizeByCoverage:
+    def test_universe_is_the_name_resolved_union(self, monkeypatch):
+        """All probes of one minimize share one call-site table, so the
+        set-cover universe counts each (edge or pair of) site(s) once:
+        its raw ids resolve to exactly the union of what each seed
+        covers by name."""
+        target = make_target("P-CLHT")
+        mutator = OperationMutator(target.operation_space(), n_threads=4,
+                                   ops_per_thread=6, rng=random.Random(7))
+        corpus = Corpus()
+        corpus.add_initial(mutator.populate_seed())
+        for _ in range(3):
+            corpus.add_initial(mutator.initial_seed())
+        measure = corpus_module.measure_seed_coverage
+        probes = []
+
+        def spy(target, seed, base_seed=0, callsites=None):
+            branch, alias = measure(target, seed, base_seed, callsites)
+            probes.append((callsites, branch, alias))
+            return branch, alias
+
+        monkeypatch.setattr(corpus_module, "measure_seed_coverage", spy)
+        corpus_module.minimize_by_coverage(corpus, target)
+        assert len(probes) == len(corpus) == 4
+        table = probes[0][0]
+        assert all(callsites is table for callsites, _b, _a in probes)
+
+        def named(table, branch, alias):
+            return ({("b", table.name(a), table.name(b)) for a, b in branch}
+                    | {("a", table.name(i1), s1, table.name(i2), s2)
+                       for i1, s1, i2, s2 in alias})
+
+        raw = set()
+        for _table, branch, alias in probes:
+            raw |= {("b",) + edge for edge in branch}
+            raw |= {("a",) + pair for pair in alias}
+        union = set()
+        for entry in corpus:
+            own = CallSiteTable()
+            union |= named(own, *measure(target, entry.seed, 0, own))
+        resolved = set()
+        for _table, branch, alias in probes:
+            resolved |= named(table, branch, alias)
+        assert resolved == union
+        assert len(raw) == len(union)

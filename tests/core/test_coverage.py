@@ -1,13 +1,18 @@
 """Coverage metric tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
+    AccessProfiler,
     AliasCoverageCollector,
     BranchCoverageCollector,
     CoverageSet,
+    FeedbackCollector,
 )
-from repro.instrument.events import PmAccessEvent
+from repro.instrument.events import Observer, PmAccessEvent
+from repro.pmem.cacheline import WORD_SHIFT
 
 
 class FakeThread:
@@ -176,3 +181,135 @@ class TestAliasCoverageWordGranularity:
         assert ("w", "D", "r", "D") in collector.pairs
         assert all("zero" not in (pair[0], pair[2])
                    for pair in collector.pairs)
+
+
+# ----------------------------------------------------------------------
+# The fused collector against the three collectors it replaced, kept
+# here verbatim as the reference.
+
+class RefBranch(Observer):
+    def __init__(self):
+        self.edges = set()
+        self._prev = {}
+
+    def _record(self, event):
+        prev = self._prev.get(event.tid)
+        if prev is not None:
+            self.edges.add((prev, event.instr_id))
+        else:
+            self.edges.add((None, event.instr_id))
+        self._prev[event.tid] = event.instr_id
+
+    on_load = _record
+    on_store = _record
+    on_flush = _record
+    on_fence = _record
+
+
+class RefAlias(Observer):
+    def __init__(self):
+        self.pairs = set()
+        self._last = {}
+
+    def _identity(self, event):
+        if event.kind == "load":
+            state = "D" if event.nonpersisted else "C"
+        elif event.kind == "ntstore":
+            state = "C"
+        else:
+            state = "D"
+        return (event.instr_id, state, event.tid)
+
+    def _record(self, event):
+        size = event.size
+        if size <= 0:
+            return
+        identity = self._identity(event)
+        first_word = event.addr >> WORD_SHIFT
+        last_word = (event.addr + size - 1) >> WORD_SHIFT
+        for word in range(first_word, last_word + 1):
+            prev = self._last.get(word)
+            if prev is not None and prev[2] != identity[2]:
+                self.pairs.add((prev[0], prev[1], identity[0], identity[1]))
+            self._last[word] = identity
+
+    on_load = _record
+    on_store = _record
+
+
+class RefProfiler(Observer):
+    def __init__(self):
+        self.profile = {}
+
+    def _entry(self, addr):
+        entry = self.profile.get(addr)
+        if entry is None:
+            entry = {"loads": {}, "stores": {}, "tids": set(), "count": 0}
+            self.profile[addr] = entry
+        return entry
+
+    def on_load(self, event):
+        entry = self._entry(event.addr)
+        entry["loads"][event.instr_id] = \
+            entry["loads"].get(event.instr_id, 0) + 1
+        entry["tids"].add(event.tid)
+        entry["count"] += 1
+
+    def on_store(self, event):
+        entry = self._entry(event.addr)
+        entry["stores"][event.instr_id] = \
+            entry["stores"].get(event.instr_id, 0) + 1
+        entry["tids"].add(event.tid)
+        entry["count"] += 1
+
+
+#: One access: (kind, addr, size, tid or None for tid -1, instr, dirty).
+_ACCESSES = st.one_of(
+    st.tuples(st.sampled_from(["load", "store", "ntstore"]),
+              st.integers(0, 1023),
+              st.one_of(st.integers(0, 16), st.integers(17, 8192)),
+              st.sampled_from([None, 0, 1, 2]), st.integers(0, 5),
+              st.booleans()),
+    st.tuples(st.just("cas"), st.integers(0, 127).map(lambda w: w * 8),
+              st.just(8), st.sampled_from([None, 0, 1, 2]),
+              st.integers(0, 5), st.just(False)),
+    st.tuples(st.sampled_from(["clwb", "sfence"]), st.integers(0, 1023),
+              st.just(0), st.sampled_from([None, 0, 1, 2]),
+              st.integers(0, 5), st.just(False)),
+)
+
+
+def _event(kind, addr, size, tid, instr, dirty):
+    thread = None if tid is None else FakeThread(tid)
+    return PmAccessEvent(kind, None if kind == "sfence" else addr, size, 0,
+                         thread, "i%d" % instr,
+                         nonpersisted=("w",) if dirty else ())
+
+
+_HOOK = {"load": "on_load", "store": "on_store", "ntstore": "on_store",
+         "cas": "on_store", "clwb": "on_flush", "sfence": "on_fence"}
+
+
+class TestFeedbackCollector:
+    def test_old_names_are_the_one_collector(self):
+        assert BranchCoverageCollector is FeedbackCollector
+        assert AliasCoverageCollector is FeedbackCollector
+        assert AccessProfiler is FeedbackCollector
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ACCESSES, max_size=60))
+    def test_matches_the_three_collectors(self, accesses):
+        fused = FeedbackCollector()
+        refs = (RefBranch(), RefAlias(), RefProfiler())
+        for access in accesses:
+            event = _event(*access)
+            hook = _HOOK[event.kind]
+            getattr(fused, hook)(event)
+            for ref in refs:
+                if hook in vars(type(ref)):
+                    getattr(ref, hook)(event)
+        branch, alias, profiler = refs
+        assert fused.edges == branch.edges
+        assert fused.pairs == alias.pairs
+        assert fused.profile == profiler.profile
+        assert list(fused.profile) == list(profiler.profile)

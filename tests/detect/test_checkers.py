@@ -185,3 +185,48 @@ class TestSyncInconsistencies:
         _pool, _ctx, checker, view = self.make_annotated()
         view.store_u64(512, 1)
         assert not checker.sync_inconsistencies
+
+    @pytest.mark.parametrize("acquire", ["store", "cas"])
+    def test_record_carries_its_store_stack(self, acquire):
+        # Lock stores are untainted; the record still gets the stack of
+        # the store that minted it, innermost frame first.
+        _pool, ctx, checker, view = self.make_annotated()
+
+        def lock_acquire():
+            if acquire == "store":
+                view.store_u64(256, 1)
+            else:
+                view.cas_u64(256, 0, 1)
+
+        lock_acquire()
+        record = checker.sync_inconsistencies[0]
+        assert record.stack[0] == record.instr_id
+        assert ":lock_acquire:" in record.instr_id
+        assert any(":test_record_carries_its_store_stack:" in frame
+                   for frame in record.stack[1:])
+
+
+class TestLazyStacks:
+    """The checker walks an event's frame only when the event mints a
+    record, and at most once per event."""
+
+    def test_walks_only_for_minting_events(self):
+        _pool, _ctx, checker, view = make()
+        view.store_u64(64, 1)        # untainted, unannotated: no record
+        assert checker.stack_walks == 0
+        for _ in range(3):
+            view.load_u64(64)        # one candidate, then repeats
+        assert len(checker.candidates) == 1
+        assert checker.stack_walks == 1
+
+    def test_one_walk_per_event_minting_several_records(self):
+        _pool, _ctx, checker, view = make()
+        view.store_u64(64, 1)
+        view.store_u64(72, 2)
+        view.load_bytes(64, 16)      # two writers: two candidates
+        assert len(checker.candidates) == 2
+        assert checker.stack_walks == 1
+        first, second = checker.candidates
+        assert first.stack == second.stack
+        assert ":test_one_walk_per_event_minting_several_records:" \
+            in first.stack[0]

@@ -214,3 +214,70 @@ class TestTaintFlow:
         view.ntstore_u64(128, value + 1)
         assert checker.candidates          # candidates still found
         assert not checker.inconsistencies  # but no flow confirmation
+
+
+class TestLazyStacks:
+    """An event carries the frame its stack walk starts from; walking it
+    during dispatch gives the stack the hook's own eager walk gave."""
+
+    def test_lazy_stack_equals_eager_walk(self, monkeypatch):
+        from repro.instrument import hooks
+        from repro.instrument.events import PmAccessEvent
+
+        pool = PmemPool("lazy", 8192)
+        ctx = InstrumentationContext()
+        table = ctx.callsites
+
+        class EagerEvent(PmAccessEvent):
+            __slots__ = ("eager",)
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                # ``intern_stack(skip=2)`` from the hook's frame (one
+                # frame below this constructor).
+                self.eager = table.intern_stack(skip=3)
+
+        walked = []
+
+        class Walker(Observer):
+            def walk(self, event):
+                if event.frame is not None:
+                    walked.append((event.kind, event.eager,
+                                   table.intern_stack_from(event.frame)))
+
+            on_load = on_store = walk
+
+        monkeypatch.setattr(hooks, "PmAccessEvent", EagerEvent)
+        ctx.add_observer(Walker())
+        view = PmView(pool, None, ctx)
+
+        def target_code():
+            view.store_u64(64, 1)
+            view.load_u64(64)
+            view.load_bytes(64, 8)
+            view.ntstore_u64(128, 2)
+            view.store_bytes(192, b"abc")
+            view.cas_u64(64, 1, 3)
+
+        target_code()
+        assert {kind for kind, _eager, _lazy in walked} == {
+            "load", "store", "ntstore", "cas"}
+        for kind, eager, lazy in walked:
+            assert lazy == eager, kind
+            assert "target_code" in table.name(lazy[0])
+
+    def test_no_frame_without_capture(self):
+        pool = PmemPool("lazy", 8192)
+        ctx = InstrumentationContext(capture_stacks=False)
+        recorder = ctx.add_observer(Recorder())
+        view = PmView(pool, None, ctx)
+        view.store_u64(64, 1)
+        view.load_u64(64)
+        view.cas_u64(64, 1, 2)
+        assert all(event.frame is None for event in recorder.events)
+
+    def test_clean_load_carries_no_frame(self, setup):
+        _pool, _ctx, recorder, view = setup
+        view.ntstore_u64(64, 1)
+        view.load_u64(64)
+        assert recorder.events[-1].frame is None
