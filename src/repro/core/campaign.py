@@ -44,7 +44,7 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
                  snapshot_images=True, capture_stacks=True,
                  max_steps=30_000, spin_hang_limit=400, extra_observers=(),
                  metrics=None, callsites=None, evict_fraction=0.0,
-                 evict_rng=None, scheduler_factory=None):
+                 evict_rng=None, scheduler_factory=None, carriers=None):
     """Execute one campaign; returns a :class:`CampaignResult`.
 
     Args:
@@ -52,19 +52,19 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
         state: An initialized (fresh or checkpoint-restored) TargetState.
         seed_threads: List of per-thread operation lists.
         policy: Scheduling policy instance (already seeded).
-        entry: Optional SharedAccessEntry enabling sync-point scheduling.
-            Entries carry *interned* instruction ids from the run's
-            CallSiteTable, grouped from the shared-access profile of
-            earlier campaigns: the controller stalls loads at the
-            entry's load sites until one of its store sites (or a store
-            to ``entry.addr``) fires.
+        entry: Optional SharedAccessEntry enabling sync-point scheduling:
+            *interned* instruction ids from the run's CallSiteTable,
+            grouped from earlier campaigns' shared-access profile. The
+            controller stalls loads at its load sites until one of its
+            store sites (or a store to ``entry.addr``) fires.
         rng: RNG for privileged-thread selection.
         initial_skips: Carried-over cond_wait skip counts (Pitfall 3).
         writer_waiting: Writer stall length after cond_signal.
         metrics: Optional :class:`~repro.obs.metrics.Metrics` registry
             wired into the PM access hooks and the scheduler.
-        callsites: The run-wide :class:`~repro.instrument.callsite.
-            CallSiteTable`; standalone campaigns get a private table.
+        callsites, carriers: The run-wide :class:`~repro.instrument.
+            callsite.CallSiteTable` and :class:`~repro.runtime.scheduler.
+            CarrierPool`; standalone campaigns get private ones.
         evict_fraction: Per-line probability of pre-crash cache eviction
             applied to the checker's crash images.
         evict_rng: Campaign RNG for eviction sampling (from the engine so
@@ -86,7 +86,7 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
         ctx.add_observer(observer)
     scheduler = (scheduler_factory or Scheduler)(
         policy, max_steps=max_steps, spin_hang_limit=spin_hang_limit,
-        metrics=metrics)
+        metrics=metrics, carriers=carriers)
     view = PmView(state.pool, scheduler, ctx)
     controller = None
     if entry is not None:

@@ -30,6 +30,7 @@ import json
 import os
 
 from ..instrument.callsite import CallSiteTable
+from ..runtime.scheduler import CarrierPool
 from .session import atomic_write_json
 
 #: Bump when the per-seed JSON layout changes; files with another
@@ -417,13 +418,16 @@ class Corpus:
 # ----------------------------------------------------------------------
 # coverage measurement + minimize-by-coverage (``repro corpus minimize``)
 
-def measure_seed_coverage(target, seed, base_seed=0, callsites=None):
+def measure_seed_coverage(target, seed, base_seed=0, callsites=None,
+                          carriers=None):
     """Branch-edge and alias-pair sets one campaign of ``seed`` covers.
 
     Deterministic given ``base_seed`` (fresh state, seeded scheduler, no
     crash imaging or tainting — this is a pure coverage probe). Edges and
     pairs hold call-site ids interned in ``callsites`` (a private table
-    when None); probes compare only when they share one table.
+    when None); probes compare only when they share one table. The probe
+    runs on ``carriers`` (a :class:`~repro.runtime.scheduler.CarrierPool`;
+    a private one when None).
     """
     from ..runtime.policies import SeededRandomPolicy
     from .campaign import run_campaign
@@ -435,7 +439,7 @@ def measure_seed_coverage(target, seed, base_seed=0, callsites=None):
                             taint_enabled=False, snapshot_images=False,
                             capture_stacks=False,
                             callsites=callsites if callsites is not None
-                            else CallSiteTable())
+                            else CallSiteTable(), carriers=carriers)
     return set(campaign.branch_edges), set(campaign.alias_pairs)
 
 
@@ -444,21 +448,23 @@ def minimize_by_coverage(corpus, target, base_seed=0):
 
     Each retained seed is probed once (:func:`measure_seed_coverage`),
     all probes interning call sites in one table so equal ids mean equal
-    sites; seeds are then kept largest-marginal-coverage-first until the
-    union is covered, ties broken by retention order, so the result is
-    deterministic.  The corpus itself is not modified — callers decide
-    whether to :meth:`Corpus.discard` the dropped entries.
+    sites, and on one pool of carrier threads; seeds are then kept
+    largest-marginal-coverage-first until the union is covered, ties
+    broken by retention order, so the result is deterministic.  The
+    corpus itself is not modified — callers decide whether to
+    :meth:`Corpus.discard` the dropped entries.
     """
     callsites = CallSiteTable()
     probes = []
-    for entry in corpus:
-        branch, alias = measure_seed_coverage(target, entry.seed,
-                                              base_seed, callsites)
-        covered = {("b",) + (edge if isinstance(edge, tuple) else (edge,))
-                   for edge in branch}
-        covered |= {("a",) + (pair if isinstance(pair, tuple) else (pair,))
-                    for pair in alias}
-        probes.append((entry, covered))
+    with CarrierPool() as carriers:
+        for entry in corpus:
+            branch, alias = measure_seed_coverage(
+                target, entry.seed, base_seed, callsites, carriers)
+            covered = {("b",) + (edge if isinstance(edge, tuple)
+                                 else (edge,)) for edge in branch}
+            covered |= {("a",) + (pair if isinstance(pair, tuple)
+                                  else (pair,)) for pair in alias}
+            probes.append((entry, covered))
     universe = set()
     for _entry, covered in probes:
         universe |= covered

@@ -27,6 +27,7 @@ from ..detect.whitelist import Whitelist
 from ..instrument.callsite import CallSiteTable
 from ..obs.tracer import NULL_TRACER
 from ..runtime.policies import DelayInjectionPolicy, SeededRandomPolicy
+from ..runtime.scheduler import CarrierPool
 from .campaign import run_campaign
 from .checkpoints import make_state_provider
 from .corpus import Corpus
@@ -373,7 +374,15 @@ class PMRace:
     # ------------------------------------------------------------------
 
     def run(self):
-        """Execute the fuzzing loop; returns a :class:`RunResult`."""
+        """Execute the fuzzing loop; returns a :class:`RunResult`.
+
+        Every campaign of the run shares one pool of carrier threads,
+        closed (joined) before this returns.
+        """
+        with CarrierPool() as self._carriers:
+            return self._run()
+
+    def _run(self):
         cfg = self.config
         self._result = result = RunResult(self.target.NAME, cfg)
         self._provider = make_state_provider(self.target, cfg.use_checkpoints,
@@ -540,7 +549,7 @@ class PMRace:
             spin_hang_limit=cfg.spin_hang_limit, metrics=self.metrics,
             callsites=self._callsites,
             evict_fraction=cfg.evict_fraction,
-            evict_rng=self._evict_rng)
+            evict_rng=self._evict_rng, carriers=self._carriers)
         result.campaigns += 1
         if self._campaign_counter is not None:
             self._campaign_counter.inc()

@@ -26,6 +26,7 @@ returned.
 
 from ..detect.records import Verdict
 from ..obs.tracer import NULL_TRACER
+from ..runtime.scheduler import CarrierPool
 from .replayer import replay_bundle, replay_campaign
 
 #: Default replay budget for one ``repro shrink`` invocation.
@@ -98,13 +99,14 @@ class _Shrinker:
     """One shrink session: shared budget, validation cache, best state."""
 
     def __init__(self, bundle, budget, validation, require_bug,
-                 tracer, metrics):
+                 tracer, metrics, carriers):
         self.bundle = bundle
         self.budget = budget
         self.validation = validation
         self.require_bug = require_bug
         self.tracer = tracer
         self.metrics = metrics
+        self.carriers = carriers
         self.n_threads = len(bundle.ops)
         self.result = ShrinkResult(bundle.op_count, len(bundle.schedule))
         # Best reproducing candidate: (flat ops, schedule, ReplayRun).
@@ -122,9 +124,9 @@ class _Shrinker:
         self.result.tests += 1
         if self.metrics is not None:
             self.metrics.counter("shrink.steps").inc()
-        run = replay_campaign(self.bundle, ops=_rebuild(flat,
-                                                        self.n_threads),
-                              schedule=schedule)
+        run = replay_campaign(self.bundle,
+                              ops=_rebuild(flat, self.n_threads),
+                              schedule=schedule, carriers=self.carriers)
         ok = run.error is None \
             and self.bundle.dedup_key in run.records
         if ok and self.require_bug:
@@ -189,14 +191,22 @@ def shrink_bundle(bundle, budget=DEFAULT_BUDGET, validation=None,
 
     Returns:
         A :class:`ShrinkResult`; ``result.bundle`` replays strictly.
+        Every replay runs on one pool of carrier threads, closed before
+        this returns.
     """
+    with CarrierPool() as carriers:
+        return _shrink(bundle, budget, validation, tracer, metrics,
+                       carriers)
+
+
+def _shrink(bundle, budget, validation, tracer, metrics, carriers):
     tracer = tracer if tracer is not None else NULL_TRACER
     require_bug = bundle.verdict == "bug"
     if require_bug and validation is None:
         from ..detect.validation_service import make_validation_queue
         validation = make_validation_queue(bundle.target, metrics=metrics)
     shrinker = _Shrinker(bundle, budget, validation, require_bug,
-                         tracer, metrics)
+                         tracer, metrics, carriers)
     result = shrinker.result
 
     # Baseline: the bundle must reproduce before any cutting starts.
@@ -238,7 +248,7 @@ def shrink_bundle(bundle, budget=DEFAULT_BUDGET, validation=None,
     result.bundle = minimized
     result.min_ops = minimized.op_count
     result.min_schedule = len(minimized.schedule)
-    verify = replay_bundle(minimized, metrics=metrics)
+    verify = replay_bundle(minimized, metrics=metrics, carriers=carriers)
     result.verified = verify.reproduced and verify.divergence is None
     if metrics is not None:
         metrics.counter("shrink.runs").inc()

@@ -86,7 +86,8 @@ def _reconstruct_entry(bundle, callsites):
         data["frequency"])
 
 
-def replay_campaign(bundle, ops=None, schedule=None, metrics=None):
+def replay_campaign(bundle, ops=None, schedule=None, metrics=None,
+                    carriers=None):
     """Run one campaign reconstructed from ``bundle``.
 
     Args:
@@ -96,6 +97,8 @@ def replay_campaign(bundle, ops=None, schedule=None, metrics=None):
         schedule: Override decision vector (shrink candidates); defaults
             to the bundle's.
         metrics: Optional metrics registry threaded into the campaign.
+        carriers: Optional :class:`~repro.runtime.scheduler.CarrierPool`
+            shared by a caller's replays; a private one by default.
 
     Returns:
         A :class:`ReplayRun`. Replay never raises for in-simulation
@@ -135,7 +138,8 @@ def replay_campaign(bundle, ops=None, schedule=None, metrics=None):
         spin_hang_limit=cfg.get("spin_hang_limit", 400),
         metrics=metrics, callsites=callsites,
         evict_fraction=cfg.get("evict_fraction", 0.0),
-        evict_rng=evict_rng, scheduler_factory=ReplayScheduler)
+        evict_rng=evict_rng, scheduler_factory=ReplayScheduler,
+        carriers=carriers)
     run.campaign = campaign
     run.status = campaign.outcome.status
     run.error = campaign.outcome.error
@@ -210,7 +214,8 @@ class ReplayOutcome:
         return lines
 
 
-def replay_bundle(bundle, validation=None, tracer=None, metrics=None):
+def replay_bundle(bundle, validation=None, tracer=None, metrics=None,
+                  carriers=None):
     """Replay ``bundle`` and assert its identity; the ``repro replay``
     entry point.
 
@@ -223,6 +228,8 @@ def replay_bundle(bundle, validation=None, tracer=None, metrics=None):
             ``replay_divergence`` events).
         metrics: Optional metrics registry (``replay.runs``,
             ``replay.reproduced``, ``replay.divergence`` counters).
+        carriers: Optional :class:`~repro.runtime.scheduler.CarrierPool`
+            to replay on.
 
     Returns:
         A :class:`ReplayOutcome`.
@@ -235,7 +242,7 @@ def replay_bundle(bundle, validation=None, tracer=None, metrics=None):
                     kind=bundle.kind, dedup_key=list(bundle.dedup_key),
                     schedule_len=len(bundle.schedule),
                     op_count=bundle.op_count)
-    run = replay_campaign(bundle, metrics=metrics)
+    run = replay_campaign(bundle, metrics=metrics, carriers=carriers)
     outcome = ReplayOutcome(bundle, run)
     if validation is not None and outcome.record is not None:
         validation.enqueue(outcome.record)

@@ -1,6 +1,6 @@
 """Deterministic cooperative concurrency substrate."""
 
-from .scheduler import Hang, RunOutcome, Scheduler
+from .scheduler import CarrierPool, Hang, RunOutcome, Scheduler
 from .thread import SimThread, ThreadKilled, ThreadState
 from .policies import (
     DelayInjectionPolicy,
@@ -14,6 +14,7 @@ from .sync import SimLock, SimRWLock
 
 __all__ = [
     "Scheduler",
+    "CarrierPool",
     "RunOutcome",
     "Hang",
     "SimThread",

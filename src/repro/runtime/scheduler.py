@@ -40,30 +40,40 @@ This holds only if ``blocked`` is a pure read of shared state: it runs
 on another OS thread, so it must not touch PM through instrumented
 accesses or call :meth:`Scheduler.current`.
 
-Hand-off is one binary lock per simulated thread used as a one-permit
-semaphore: the yielding thread releases the successor's lock (granting the
-single "go" permit) and parks by acquiring its own. Exactly one permit
-exists at any time — the token of the running thread — so a raw lock
-suffices and each hand-off is one futex wake plus one futex wait, without
-the Condition machinery of ``threading.Event``. Because at most one
+Simulated threads run on carrier threads (:class:`CarrierPool`): OS
+threads owned by the fuzzing session, each running one simulated thread
+per run, across all the session's campaigns. A run hands each simulated
+thread to an idle carrier and, once the run is over, waits for every
+carrier to go idle again. A scheduler given no pool makes a private one
+for its run and closes it before ``run()`` returns, so every run takes
+the same path.
+
+Hand-off is one binary lock per simulated thread (its carrier's permit)
+used as a one-permit semaphore: the yielding thread releases the
+successor's lock (granting the single "go" permit) and parks by
+acquiring its own. Exactly one permit exists at any time — the token of
+the running thread — so a raw lock suffices and each hand-off is one
+futex wake plus one futex wait, without the Condition machinery of
+``threading.Event``. Because at most one
 thread is runnable, state mutations are serialized by construction; a
 small lock protects the pieces the driver thread reads concurrently.
 
 That is one context switch per hand-off only if the woken successor does
 not preempt its waker. Under Linux's default policy it usually does: it
 runs, finds the GIL still held by the waker, and switches back, for about
-three switches per hand-off on one CPU. Each simulated thread therefore
-moves itself to ``SCHED_BATCH`` when it starts (:func:`_batch_policy`).
-A woken batch task does not preempt the running task, so the waker goes
-on to block on its own permit, dropping the GIL, before its successor
-runs. Only the simulated threads change policy; they need no privilege
-for it and die with their run, and the driver thread keeps its policy.
-Where the policy is unavailable the scheduler runs as before; schedules
-never depend on it.
+three switches per hand-off on one CPU. Each carrier therefore moves
+itself to ``SCHED_BATCH`` once, when it starts. A woken batch task does
+not preempt the running task, so the waker goes on to block on its own
+permit, dropping the GIL, before its successor runs. Only the carriers
+change policy; they need no privilege for it and are joined when their
+pool closes, and the driver thread keeps its policy. Where the policy
+is unavailable the scheduler runs as before; schedules never depend on
+it.
 """
 
 import os
 import threading
+from contextlib import nullcontext
 
 try:
     from resource import RUSAGE_THREAD, getrusage
@@ -88,6 +98,123 @@ def _batch_policy():
         setscheduler(0, batch, os.sched_param(0))
     except OSError:
         pass
+
+
+class _Carrier:
+    """One OS thread that runs the simulated threads it is handed.
+
+    ``_permit`` is a raw lock used as a one-permit semaphore. It is also
+    the ``_go`` permit of the simulated thread the carrier is handed, so
+    a carrier sleeps until its thread is first scheduled and then runs
+    ``_bootstrap`` holding that first permit; a thread the policy never
+    picks before an abort starts only to be killed. The carrier releases
+    ``_idle`` once ``_bootstrap`` has returned. Its frames are in this
+    module, so call-site interning skips them and record stacks do not
+    depend on carriers.
+    """
+
+    def __init__(self, name):
+        self._job = None
+        self._stopped = False
+        self._permit = threading.Lock()
+        self._permit.acquire()
+        self._idle = threading.Lock()
+        self._idle.acquire()
+        self._os_thread = threading.Thread(target=self._loop, name=name,
+                                           daemon=True)
+        self._os_thread.start()
+
+    def _loop(self):
+        _batch_policy()
+        permit, idle = self._permit, self._idle
+        while True:
+            permit.acquire()
+            job, self._job = self._job, None
+            if job is None:
+                return
+            job._bootstrap()
+            job = None  # hold no finished campaign while idle
+            # An abort may have granted the finished thread one more
+            # permit; the next job must start on its own.
+            permit.acquire(False)
+            if self._stopped:  # retired, and its pool closed meanwhile
+                return
+            idle.release()
+
+    def assign(self, sim_thread):
+        """Make ``sim_thread`` the next job, started by its first permit."""
+        self._job = sim_thread
+        sim_thread._go = self._permit
+
+    def stop(self):
+        """Stop now if idle, else as soon as the current job returns."""
+        self._stopped = True
+        self._job = None
+        try:
+            self._permit.release()
+        except RuntimeError:
+            pass  # busy, holding a permit its loop drains
+
+
+class CarrierPool:
+    """The carrier threads of one session; a context manager.
+
+    A scheduler run takes one idle carrier per simulated thread, starting
+    carriers only when too few are idle, and gives them back when the run
+    ends. Each carrier moves itself to ``SCHED_BATCH`` once, as it
+    starts. :meth:`close` stops and joins every idle carrier, so none
+    outlives the pool's owner. Driven by one thread at a time.
+
+    Attributes:
+        started: OS threads this pool has started.
+    """
+
+    #: Seconds a run waits for each carrier to finish its simulated
+    #: thread; a carrier that misses it is retired, never reused.
+    IDLE_TIMEOUT = 5.0
+
+    def __init__(self):
+        self._idle = []
+        self._retired = []
+        self._closed = False
+        self.started = 0
+
+    def take(self, count):
+        """``count`` idle carriers, starting new ones as needed."""
+        if self._closed:
+            raise RuntimeError("carrier pool is closed")
+        idle = self._idle
+        while len(idle) < count:
+            idle.append(_Carrier("carrier-%d" % self.started))
+            self.started += 1
+        taken = idle[:count]
+        del idle[:count]
+        return taken
+
+    def give_back(self, carriers):
+        """Wait for each carrier to go idle; retire those that do not."""
+        for carrier in carriers:
+            if carrier._idle.acquire(timeout=self.IDLE_TIMEOUT):
+                self._idle.append(carrier)
+            else:
+                self._retired.append(carrier)
+
+    def close(self):
+        """Stop every carrier and join the idle ones. A retired carrier
+        exits as soon as its simulated thread returns."""
+        self._closed = True
+        idle, self._idle = self._idle, []
+        for carrier in idle + self._retired:
+            carrier.stop()
+        for carrier in idle:
+            carrier._os_thread.join(self.IDLE_TIMEOUT)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
 
 
 class Hang(Exception):
@@ -136,14 +263,18 @@ class Scheduler:
             limit.
         metrics: Optional :class:`~repro.obs.metrics.Metrics`; step
             totals are flushed once per run (not per yield) so the step
-            loop itself stays observability-free. On Linux each
-            simulated thread's OS context switches are read once, as it
-            exits, into ``scheduler.os_switches``.
+            loop itself stays observability-free. On Linux the OS
+            context switches each simulated thread's carrier makes
+            between its ``_enter_thread`` and ``_exit_thread`` go to
+            ``scheduler.os_switches``.
+        carriers: The session's :class:`CarrierPool`; None runs on a
+            private pool, closed before :meth:`run` returns.
     """
 
     def __init__(self, policy, max_steps=30_000, spin_hang_limit=400,
-                 thread_spin_limit=None, metrics=None):
+                 thread_spin_limit=None, metrics=None, carriers=None):
         self.policy = policy
+        self.carriers = carriers
         #: ``policy.on_yield``, or None when it is the interface's no-op.
         on_yield = policy.on_yield
         self._on_yield = None if getattr(on_yield, "__func__", None) \
@@ -167,8 +298,14 @@ class Scheduler:
         #: OS context switches of exited simulated threads (read only
         #: with a metrics registry attached, and only on Linux).
         self.os_switches = 0
+        #: Carrier OS threads this run started.
+        self.threads_started = 0
         self._lock = threading.Lock()
-        self._done = threading.Event()
+        #: Released once, when the run is over: a raw lock, so the
+        #: driver's wake-up is one futex wake.
+        self._done = threading.Lock()
+        self._done.acquire()
+        self._finished = False
         self._aborting = False
         self._outcome_status = "ok"
         self._blocked_report = []
@@ -183,10 +320,12 @@ class Scheduler:
         if self._started:
             raise RuntimeError("cannot spawn after run() started")
         thread = SimThread(self, len(self.threads), fn, name)
-        thread._go = threading.Lock()
-        thread._go.acquire()  # starts with no permit: parked until granted
+        #: The thread's one-permit "go" lock: its carrier's permit.
+        thread._go = None
         #: ``(kind, reason, blocked)`` while the thread is inside park().
         thread._parked = None
+        #: Its carrier's context switches so far, read at _enter_thread.
+        thread._switches_at_entry = 0
         self.threads.append(thread)
         self._live_threads.append(thread)
         return thread
@@ -199,19 +338,32 @@ class Scheduler:
     # run loop (driver side)
 
     def run(self):
-        """Start all threads, serialize them to completion; returns outcome."""
+        """Run all threads on carriers, serialized to completion; returns
+        the outcome."""
         if not self.threads:
             return RunOutcome("ok", 0)
         self._started = True
-        for thread in self.threads:
-            thread.start()
-        first = self._pick(None)
-        if first is not None:
-            self.handoffs += 1
-            first._go.release()
-        self._done.wait()
-        for thread in self.threads:
-            thread.join(timeout=5.0)
+        with CarrierPool() if self.carriers is None \
+                else nullcontext(self.carriers) as pool:
+            started = pool.started
+            carriers = pool.take(len(self.threads))
+            self.threads_started = pool.started - started
+            try:
+                for carrier, thread in zip(carriers, self.threads):
+                    thread.state = ThreadState.READY
+                    carrier.assign(thread)
+                first = self._pick(None)
+                if first is not None:
+                    self.handoffs += 1
+                    first._go.release()
+                self._done.acquire()
+            finally:
+                if not self._finished:
+                    # Interrupted before the run ended: kill every
+                    # thread so its carrier goes idle.
+                    with self._lock:
+                        self._abort_locked("error")
+                pool.give_back(carriers)
         error = next((t.error for t in self.threads if t.error is not None),
                      None)
         if error is not None and self._outcome_status == "ok":
@@ -223,6 +375,8 @@ class Scheduler:
             self.metrics.counter("scheduler.handoffs").inc(self.handoffs)
             self.metrics.counter("scheduler.parked_steps").inc(
                 self.parked_steps)
+            self.metrics.counter("scheduler.threads_started").inc(
+                self.threads_started)
             if RUSAGE_THREAD is not None:
                 self.metrics.counter("scheduler.os_switches").inc(
                     self.os_switches)
@@ -237,9 +391,10 @@ class Scheduler:
     # thread side
 
     def _enter_thread(self, thread):
+        if self.metrics is not None and RUSAGE_THREAD is not None:
+            usage = getrusage(RUSAGE_THREAD)
+            thread._switches_at_entry = usage.ru_nvcsw + usage.ru_nivcsw
         self._local.sim_thread = thread
-        _batch_policy()
-        thread._go.acquire()
         if self._aborting:
             raise ThreadKilled()
 
@@ -247,17 +402,19 @@ class Scheduler:
         switches = 0
         if self.metrics is not None and RUSAGE_THREAD is not None:
             usage = getrusage(RUSAGE_THREAD)
-            switches = usage.ru_nvcsw + usage.ru_nivcsw
+            switches = usage.ru_nvcsw + usage.ru_nivcsw \
+                - thread._switches_at_entry
         with self._lock:
             self.os_switches += switches
             thread.state = ThreadState.DONE
             self._live_threads.remove(thread)
             if not self._live_threads:
-                self._done.set()
+                self._finish_locked()
                 return
             if self._aborting:
-                # _abort_locked already granted every thread its wake-up
-                # permit; granting again would double-release a raw lock.
+                # _abort_locked already granted every live thread its
+                # wake-up permit; granting again would double-release a
+                # raw lock.
                 return
             nxt = self._next_locked(thread)
             if nxt is None:
@@ -398,12 +555,17 @@ class Scheduler:
     def _abort_locked(self, status):
         self._outcome_status = status
         self._aborting = True
-        for thread in self.threads:
+        for thread in self._live_threads:
             try:
                 thread._go.release()
             except RuntimeError:
                 pass  # already holds a pending permit
-        self._done.set()
+        self._finish_locked()
+
+    def _finish_locked(self):
+        if not self._finished:
+            self._finished = True
+            self._done.release()
 
     def _pick(self, prev):
         with self._lock:

@@ -1,7 +1,14 @@
-"""Simulated threads managed by the cooperative scheduler."""
+"""Simulated threads managed by the cooperative scheduler.
+
+A simulated thread is not an OS thread of its own: each run hands it to
+a carrier thread of a :class:`~repro.runtime.scheduler.CarrierPool`,
+which runs the simulated threads of every campaign in a session. The
+carrier's own frames live in the scheduler module, which call-site
+interning skips, so record stacks do not depend on which carrier ran
+the thread, or on how many campaigns it ran before.
+"""
 
 import enum
-import threading
 
 
 class ThreadState(enum.Enum):
@@ -19,7 +26,7 @@ class ThreadKilled(BaseException):
 
 
 class SimThread:
-    """One simulated thread: a real OS thread gated by the scheduler.
+    """One simulated thread, run on a carrier and gated by the scheduler.
 
     Attributes:
         tid: Small integer thread id (0-based), used by checkers as the
@@ -43,21 +50,14 @@ class SimThread:
         self.bypass_sync = False
         self.blocked_reason = None
         self.steps = 0
-        self._os_thread = threading.Thread(
-            target=self._bootstrap, name=self.name, daemon=True
-        )
-
-    def start(self):
-        self.state = ThreadState.READY
-        self._os_thread.start()
-
-    def join(self, timeout=None):
-        self._os_thread.join(timeout)
 
     def _bootstrap(self):
+        """Run ``fn`` on the calling carrier; ``_exit_thread`` runs even
+        if the run aborted before this thread was first scheduled."""
         sched = self.scheduler
-        sched._enter_thread(self)
         try:
+            sched._enter_thread(self)
+            # Record stacks name this line: keep it where it is.
             self.fn()
         except ThreadKilled:
             pass

@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import threading
+
 import pytest
 
 from repro.detect import InconsistencyChecker
@@ -16,6 +18,20 @@ def pool():
 @pytest.fixture
 def ctx():
     return InstrumentationContext()
+
+
+@pytest.fixture
+def os_thread_starts(monkeypatch):
+    """Names of the OS threads started while the test runs."""
+    names = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        names.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return names
 
 
 def make_harness(pool, policy=None, observers=(), annotations=None,

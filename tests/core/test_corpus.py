@@ -8,6 +8,7 @@ plus AFL-style energy scheduling and optional on-disk persistence.
 import json
 import os
 import random
+import threading
 
 import pytest
 
@@ -297,8 +298,9 @@ class TestMinimizeByCoverage:
         measure = corpus_module.measure_seed_coverage
         probes = []
 
-        def spy(target, seed, base_seed=0, callsites=None):
-            branch, alias = measure(target, seed, base_seed, callsites)
+        def spy(target, seed, base_seed=0, callsites=None, carriers=None):
+            branch, alias = measure(target, seed, base_seed, callsites,
+                                    carriers)
             probes.append((callsites, branch, alias))
             return branch, alias
 
@@ -326,3 +328,19 @@ class TestMinimizeByCoverage:
             resolved |= named(table, branch, alias)
         assert resolved == union
         assert len(raw) == len(union)
+
+    def test_probes_share_one_carrier_pool(self, os_thread_starts):
+        """k seed probes start at most ``n_threads`` OS threads, and
+        none outlives the call."""
+        target = make_target("P-CLHT")
+        mutator = OperationMutator(target.operation_space(), n_threads=4,
+                                   ops_per_thread=6, rng=random.Random(7))
+        corpus = Corpus()
+        corpus.add_initial(mutator.populate_seed())
+        for _ in range(4):
+            corpus.add_initial(mutator.initial_seed())
+        before = threading.active_count()
+        kept, dropped = corpus_module.minimize_by_coverage(corpus, target)
+        assert len(kept) + len(dropped) == len(corpus) == 5
+        assert 0 < len(os_thread_starts) <= 4
+        assert threading.active_count() == before

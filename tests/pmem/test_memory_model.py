@@ -9,14 +9,19 @@ plainly as possible, over its own byte arrays and dicts:
 * SFENCE persists the thread's PENDING lines, which become CLEAN;
 * a non-temporal store and CLFLUSH are durable at once;
 * a crash keeps only persisted data (plus PENDING lines, when the memory
-  is configured to let them survive).
+  is configured to let them survive); a line the hardware may have
+  evicted before the crash holds either its persisted or its volatile
+  bytes, and a clean line holds the bytes both views share;
+* on an eADR platform (§6.6) every store is durable as it retires, so
+  flushes and fences change nothing.
 
-The state machine drives a :class:`PmemPool`'s memory and the model
-through the same operations, snapshots and restores, and compares every
-query after each step. It also checks that the bounds and alignment
+The state machines (ADR and eADR) drive a :class:`PmemPool`'s memory and
+the model through the same operations, snapshots and restores, and
+compare every query after each step. It also checks that the bounds and alignment
 checks still raise on out-of-range and misaligned accesses.
 """
 
+import random
 import struct
 
 import pytest
@@ -44,8 +49,9 @@ LINE, WORD = 64, 8
 class Model:
     """Reference persistency state: bytes, dirty words, line states."""
 
-    def __init__(self, pending_survive):
+    def __init__(self, pending_survive, eadr=False):
         self.pending_survive = pending_survive
+        self.eadr = eadr
         self.volatile = bytearray(SIZE)
         self.persisted = bytearray(SIZE)
         self.dirty = set()     # word indexes holding non-persisted data
@@ -64,6 +70,11 @@ class Model:
     def store(self, addr, data, tid, ntstore):
         end = addr + len(data)
         self.volatile[addr:end] = data
+        if self.eadr:
+            # Caches are in the persistence domain: nothing is ever
+            # dirty, so no line is ever PENDING either.
+            self.persisted[addr:end] = data
+            return
         if ntstore:
             self.persisted[addr:end] = data
         for word in range(addr // WORD, (end - 1) // WORD + 1):
@@ -106,7 +117,7 @@ class Model:
         return bytes(image)
 
     def copy(self):
-        clone = Model(self.pending_survive)
+        clone = Model(self.pending_survive, self.eadr)
         clone.volatile = bytearray(self.volatile)
         clone.persisted = bytearray(self.persisted)
         clone.dirty = set(self.dirty)
@@ -184,6 +195,21 @@ class MemoryVsModel(RuleBasedStateMachine):
         assert self.mem.is_persisted(addr, size) == \
             self.model.is_persisted(addr, size)
 
+    @rule(evict=st.sampled_from([1.0, 0.25, 0.5, 0.75]),
+          seed=st.integers(0, 2**16))
+    def crash_with_eviction(self, evict, seed):
+        image = bytes(self.mem.crash_image(evict, random.Random(seed)))
+        if evict == 1.0:
+            assert image == bytes(self.model.volatile)
+            return
+        lost = self.model.crash_image()
+        for line in range(SIZE // LINE):
+            span = slice(line * LINE, (line + 1) * LINE)
+            assert image[span] in (lost[span],
+                                   bytes(self.model.volatile[span]))
+            if self.model.line_state(line) is LineState.CLEAN:
+                assert image[span] == bytes(self.model.persisted[span])
+
     @rule(addr=st.integers(-16, SIZE + 16))
     def read_u64(self, addr):
         if addr % WORD:
@@ -229,3 +255,26 @@ class MemoryVsModel(RuleBasedStateMachine):
 MemoryVsModel.TestCase.settings = settings(
     max_examples=150, stateful_step_count=40, deadline=None)
 TestMemoryVsModel = MemoryVsModel.TestCase
+
+
+class EadrMemoryVsModel(MemoryVsModel):
+    """The same machine on an eADR platform: every store is durable."""
+
+    @initialize(pending_survive=st.booleans())
+    def setup(self, pending_survive):
+        self.pool = PmemPool("model", SIZE,
+                             pending_persists_on_crash=pending_survive,
+                             eadr=True)
+        self.mem = self.pool.memory
+        self.model = Model(pending_survive, eadr=True)
+
+    @invariant()
+    def everything_durable(self):
+        assert self.mem.load_persisted(0, SIZE) == self.mem.load(0, SIZE)
+        assert all(self.mem.line_state(line * LINE) is LineState.CLEAN
+                   for line in range(SIZE // LINE))
+
+
+EadrMemoryVsModel.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None)
+TestEadrMemoryVsModel = EadrMemoryVsModel.TestCase

@@ -1,5 +1,7 @@
 """ddmin minimization: correctness of the shrink loop and its output."""
 
+import threading
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +91,17 @@ def test_shrink_output_reproduces_original_key(memcached_bundle, budget):
     assert outcome.reproduced
     assert outcome.record.dedup_key() == memcached_bundle.dedup_key
     assert outcome.divergence is None
+
+
+def test_shrink_replays_share_one_carrier_pool(memcached_bundle,
+                                              os_thread_starts):
+    """Every candidate replay and the final verification run on one
+    pool: no more OS threads than simulated threads, none left over."""
+    before = threading.active_count()
+    result = shrink_bundle(memcached_bundle, budget=30)
+    assert result.tests > 1 and result.verified
+    assert 0 < len(os_thread_starts) <= len(memcached_bundle.ops)
+    assert threading.active_count() == before
 
 
 def test_shrink_unreproducible_bundle_reports_failure(memcached_bundle):

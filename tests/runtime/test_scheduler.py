@@ -1,6 +1,7 @@
 """Scheduler tests: determinism, hang detection, budgets, errors."""
 
 import os
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from repro.runtime import scheduler as scheduler_module
 from repro.runtime import (
+    CarrierPool,
     DelayInjectionPolicy,
     RecordingPolicy,
     RoundRobinPolicy,
     Scheduler,
     SeededRandomPolicy,
     ThreadKilled,
+    ThreadState,
 )
 
 
@@ -597,6 +600,27 @@ class TestOsSwitches:
         assert metrics.value("scheduler.os_switches") == \
             scheduler.os_switches
 
+    def test_second_run_on_a_pool_counts_only_its_own(self):
+        """Carrier switches are cumulative; each run charges only those
+        between its threads' entry and exit."""
+        from repro.obs.metrics import Metrics
+
+        def run(carriers, yields):
+            scheduler = Scheduler(RoundRobinPolicy(), metrics=Metrics(),
+                                  carriers=carriers)
+            for _ in range(2):
+                scheduler.spawn(lambda: [scheduler.yield_point("op")
+                                         for _ in range(yields)])
+            assert scheduler.run().ok
+            return scheduler
+
+        with CarrierPool() as carriers:
+            first = run(carriers, 200)
+            second = run(carriers, 2)
+        assert first.handoffs >= 400 and second.handoffs <= 6
+        assert first.os_switches > 100
+        assert second.os_switches < first.os_switches / 10
+
     def test_not_read_without_a_registry(self, monkeypatch):
         reads = []
         getrusage = scheduler_module.getrusage
@@ -609,3 +633,143 @@ class TestOsSwitches:
         outcome, log = collect_run(RoundRobinPolicy(), n_threads=2, steps=5)
         assert outcome.ok and len(log) == 10
         assert reads == []
+
+
+# ----------------------------------------------------------------------
+# carriers: one OS thread per simulated thread per pool, not per run
+
+
+def spawn_ops(scheduler, n_threads, yields, log=None):
+    for tid in range(n_threads):
+        def worker(tid=tid):
+            for i in range(yields):
+                if log is not None:
+                    log.append((tid, i))
+                scheduler.yield_point("op")
+        scheduler.spawn(worker)
+
+
+class TestCarrierPool:
+    def test_runs_reuse_carriers(self):
+        from repro.obs.metrics import Metrics
+
+        before = threading.active_count()
+        metrics = Metrics()
+        with CarrierPool() as carriers:
+            started = []
+            for n_threads in (3, 2, 3):
+                scheduler = Scheduler(RoundRobinPolicy(), metrics=metrics,
+                                      carriers=carriers)
+                spawn_ops(scheduler, n_threads, 5)
+                assert scheduler.run().ok
+                started.append(scheduler.threads_started)
+            assert started == [3, 0, 0]
+            assert carriers.started == 3
+            assert threading.active_count() == before + 3
+        assert threading.active_count() == before
+        assert metrics.value("scheduler.threads_started") == 3
+
+    def test_more_threads_start_more_carriers(self):
+        with CarrierPool() as carriers:
+            for n_threads, expected in ((2, 2), (4, 2), (1, 0)):
+                scheduler = Scheduler(RoundRobinPolicy(), carriers=carriers)
+                spawn_ops(scheduler, n_threads, 3)
+                assert scheduler.run().ok
+                assert scheduler.threads_started == expected
+            assert carriers.started == 4
+
+    def test_private_pool_is_closed_by_the_run(self):
+        before = threading.active_count()
+        scheduler = Scheduler(RoundRobinPolicy())
+        spawn_ops(scheduler, 3, 4)
+        assert scheduler.run().ok
+        assert scheduler.threads_started == 3
+        assert threading.active_count() == before
+
+    def test_shared_and_private_pools_schedule_alike(self):
+        def log_of(carriers, seed):
+            log = []
+            scheduler = Scheduler(SeededRandomPolicy(seed),
+                                  carriers=carriers)
+            spawn_ops(scheduler, 3, 10, log)
+            return scheduler.run().status, log
+
+        with CarrierPool() as carriers:
+            shared = [log_of(carriers, seed) for seed in range(5)]
+        assert shared == [log_of(None, seed) for seed in range(5)]
+
+    def test_hang_then_ok_run_on_one_pool(self):
+        """Threads killed by a hang leave their carriers reusable."""
+        def leaked_then_ok(carriers):
+            hang = Scheduler(RoundRobinPolicy(), spin_hang_limit=20,
+                             carriers=carriers)
+            for _ in range(3):
+                hang.spawn(lambda: hang.park("spin", "never", lambda: True))
+            outcome = hang.run()
+            scheduler = Scheduler(SeededRandomPolicy(3), carriers=carriers)
+            log = []
+            spawn_ops(scheduler, 3, 10, log)
+            return outcome.status, outcome.steps, scheduler.run().ok, log
+
+        with CarrierPool() as carriers:
+            shared = leaked_then_ok(carriers)
+            assert carriers.started == 3
+        assert shared[0] == "hang"
+        assert shared == leaked_then_ok(None)
+
+    def test_threads_killed_before_their_first_turn_exit(self):
+        """A hang before the policy ever picks a thread still runs that
+        thread's exit on its carrier, and the carrier is reused."""
+        class FirstOnly(RoundRobinPolicy):
+            def pick(self, scheduler, runnable, prev):
+                return runnable[0]
+
+        with CarrierPool() as carriers:
+            for _ in range(2):
+                scheduler = Scheduler(FirstOnly(), spin_hang_limit=10,
+                                      carriers=carriers)
+                ran = []
+                scheduler.spawn(lambda: scheduler.park("spin", "never",
+                                                       lambda: True))
+                for tid in (1, 2):
+                    scheduler.spawn(lambda tid=tid: ran.append(tid))
+                assert scheduler.run().status == "hang"
+                assert ran == []
+                assert all(t.state is ThreadState.DONE
+                           for t in scheduler.threads)
+            assert carriers.started == 3
+
+    def test_carrier_that_misses_its_idle_permit_is_retired(
+            self, monkeypatch):
+        before = threading.active_count()
+        monkeypatch.setattr(CarrierPool, "IDLE_TIMEOUT", 0.05)
+        gate = threading.Event()
+        with CarrierPool() as carriers:
+            scheduler = Scheduler(RoundRobinPolicy(), spin_hang_limit=5,
+                                  carriers=carriers)
+
+            def stuck():
+                try:
+                    scheduler.park("spin", "never", lambda: True)
+                finally:
+                    gate.wait(5.0)  # still busy after the run ended
+
+            scheduler.spawn(stuck)
+            assert scheduler.run().status == "hang"
+            again = Scheduler(RoundRobinPolicy(), carriers=carriers)
+            spawn_ops(again, 1, 2)
+            assert again.run().ok
+            assert again.threads_started == 1  # never the retired one
+            gate.set()
+        for thread in threading.enumerate():
+            if thread.name.startswith("carrier-"):
+                thread.join(5.0)
+        assert threading.active_count() == before
+
+    def test_closed_pool_refuses_runs(self):
+        carriers = CarrierPool()
+        carriers.close()
+        scheduler = Scheduler(RoundRobinPolicy(), carriers=carriers)
+        spawn_ops(scheduler, 1, 1)
+        with pytest.raises(RuntimeError, match="closed"):
+            scheduler.run()
