@@ -3,7 +3,8 @@
 A campaign wires a target instance, a seed's per-thread operation lists,
 the active scheduling policy, and (optionally) a sync-point controller
 into one deterministic run, and collects everything the engine needs as
-feedback: coverage, the shared-access profile, and detected
+feedback: coverage and the shared-access profile, folded from the
+campaign's access trace once the run is over, and detected
 inconsistencies.
 """
 
@@ -77,11 +78,11 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
     ctx = InstrumentationContext(annotations=state.annotations,
                                  taint_enabled=taint_enabled,
                                  capture_stacks=capture_stacks,
-                                 metrics=metrics, callsites=callsites)
+                                 metrics=metrics, callsites=callsites,
+                                 trace=[])
     checker = ctx.add_observer(InconsistencyChecker(
         state.pool, snapshot_images=snapshot_images, callsites=ctx.callsites,
         evict_fraction=evict_fraction, evict_rng=evict_rng))
-    feedback = ctx.add_observer(FeedbackCollector())
     for observer in extra_observers:
         ctx.add_observer(observer)
     scheduler = (scheduler_factory or Scheduler)(
@@ -108,6 +109,8 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
     for tid, ops in enumerate(seed_threads):
         scheduler.spawn(make_worker(ops), "worker-%d" % tid)
     outcome = scheduler.run()
+    feedback = FeedbackCollector()
+    feedback.on_trace(ctx.trace)
     if metrics is not None:
         metrics.counter("callsite.stack_walks").inc(checker.stack_walks)
         metrics.counter("detect.records_minted").inc(

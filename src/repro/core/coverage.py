@@ -8,17 +8,14 @@ edge coverage over instrumented instruction IDs (the preceding access site
 → the current one, per thread), which plays the same feedback role the
 AFL-style bitmap plays in the original.
 
-:class:`FeedbackCollector` gathers both per campaign, together with the
-shared-access profile behind :mod:`repro.core.priority`'s queue, from one
-hook per event kind.
+Both depend only on the order of a campaign's accesses, so they are
+computed once the campaign is over: :class:`FeedbackCollector` folds the
+campaign's access trace (see :mod:`repro.instrument.events`) into both,
+together with the shared-access profile behind
+:mod:`repro.core.priority`'s queue, in one pass.
 """
 
-from ..instrument.events import Observer
 from ..pmem.cacheline import WORD_SHIFT
-
-#: Persistency-state component of an access identity.
-STATE_CLEAN = "C"
-STATE_DIRTY = "D"
 
 
 class CoverageSet:
@@ -68,11 +65,11 @@ class CoverageSet:
         return item in self.items
 
 
-class FeedbackCollector(Observer):
-    """Per-campaign feedback for both fuzzing tiers, from one observer.
+class FeedbackCollector:
+    """Per-campaign feedback for both fuzzing tiers, folded from a trace.
 
-    One hook per event kind reads the access's thread, instruction and
-    address once and updates all three:
+    :meth:`on_trace` reads each ``(tid, site, addr, size, how)`` entry
+    once and updates all three:
 
     * ``edges`` — branch coverage: (previous access site of this thread
       → this site), over loads, stores, flushes and fences (the first
@@ -88,6 +85,9 @@ class FeedbackCollector(Observer):
       :meth:`~repro.core.priority.SharedAccessQueue.update_from` folds
       in: start address → ``{"loads": {site: n}, "stores": {site: n},
       "tids": set, "count": n}`` over loads and stores.
+
+    Folding two traces one after the other gives what folding their
+    concatenation gives.
     """
 
     def __init__(self):
@@ -99,61 +99,44 @@ class FeedbackCollector(Observer):
         #: word -> (site, persistency state, tid) of its previous access.
         self._last = {}
 
-    def _access(self, event):
-        """A load (``on_load``) or a store, ntstore or CAS (``on_store``)."""
-        tid = event.tid
-        instr = event.instr_id
-        addr = event.addr
-        prev = self._prev
-        self.edges.add((prev.get(tid), instr))
-        prev[tid] = instr
-        kind = event.kind
-        if kind == "load":
-            state = STATE_DIRTY if event.nonpersisted else STATE_CLEAN
-            sites = "loads"
-        else:
-            state = STATE_CLEAN if kind == "ntstore" else STATE_DIRTY
-            sites = "stores"
-        entry = self.profile.get(addr)
-        if entry is None:
-            entry = self.profile[addr] = {
-                "loads": {}, "stores": {}, "tids": set(), "count": 0}
-        counts = entry[sites]
-        counts[instr] = counts.get(instr, 0) + 1
-        entry["tids"].add(tid)
-        entry["count"] += 1
-        size = event.size
-        if size <= 0:
-            return
-        last = self._last
-        first_word = addr >> WORD_SHIFT
-        last_word = (addr + size - 1) >> WORD_SHIFT
-        if first_word == last_word:
-            before = last.get(first_word)
-            if before is not None and before[2] != tid:
-                self.pairs.add((before[0], before[1], instr, state))
-            last[first_word] = (instr, state, tid)
-            return
-        # Multi-word: each distinct previous identity pairs once, and
-        # every word takes the new identity in one update.
-        words = range(first_word, last_word + 1)
+    def on_trace(self, trace):
+        """Fold a campaign's access trace in, in access order."""
+        edges = self.edges
         pairs = self.pairs
-        for before in set(map(last.get, words)):
-            if before is not None and before[2] != tid:
-                pairs.add((before[0], before[1], instr, state))
-        last.update(dict.fromkeys(words, (instr, state, tid)))
-
-    on_load = on_store = _access
-
-    def on_flush(self, event):
-        """A CLWB or SFENCE: a branch edge only."""
-        tid = event.tid
-        instr = event.instr_id
+        profile = self.profile
         prev = self._prev
-        self.edges.add((prev.get(tid), instr))
-        prev[tid] = instr
-
-    on_fence = on_flush
+        last = self._last
+        for tid, instr, addr, size, how in trace:
+            edges.add((prev.get(tid), instr))
+            prev[tid] = instr
+            if how is None:
+                continue  # a flush or a fence: a branch edge only
+            slot, state = how
+            entry = profile.get(addr)
+            if entry is None:
+                entry = profile[addr] = {
+                    "loads": {}, "stores": {}, "tids": set(), "count": 0}
+            counts = entry[slot]
+            counts[instr] = counts.get(instr, 0) + 1
+            entry["tids"].add(tid)
+            entry["count"] += 1
+            if size <= 0:
+                continue
+            first_word = addr >> WORD_SHIFT
+            last_word = (addr + size - 1) >> WORD_SHIFT
+            if first_word == last_word:
+                before = last.get(first_word)
+                if before is not None and before[2] != tid:
+                    pairs.add((before[0], before[1], instr, state))
+                last[first_word] = (instr, state, tid)
+                continue
+            # Multi-word: each distinct previous identity pairs once, and
+            # every word takes the new identity in one update.
+            words = range(first_word, last_word + 1)
+            for before in set(map(last.get, words)):
+                if before is not None and before[2] != tid:
+                    pairs.add((before[0], before[1], instr, state))
+            last.update(dict.fromkeys(words, (instr, state, tid)))
 
 
 #: The collector under its per-metric names (one class behind all three).

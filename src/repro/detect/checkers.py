@@ -14,11 +14,17 @@
 * **Sync inconsistencies** — stores to annotated synchronization variables,
   deduplicated per (annotation type, store site).
 
+The checker registers only for the accesses it can act on: loads that
+saw non-persisted writers (``on_dirty_load``), stores that carry taint
+(``on_tainted_store``) and stores to annotated addresses
+(``on_annotated_store``). The hook layer builds no event for any other
+access.
+
 Every record carries its access's call-site stack. The hook layer hands
 an event only the frame that stack's walk starts from; the checker walks
 it when the event mints a new record, at most once per event, while the
-frame is still live during dispatch. Accesses that mint nothing (almost
-all of them) never pay for a stack.
+frame is still live during dispatch. Events that mint nothing (most of
+those the checker does see) never pay for a stack.
 """
 
 from ..instrument.events import Observer
@@ -108,9 +114,7 @@ class InconsistencyChecker(Observer):
                 overlay_addr, end - overlay_addr))
         return image
 
-    def on_load(self, event):
-        if not event.nonpersisted:
-            return None
+    def on_dirty_load(self, event):
         minted = set()
         for writer in event.nonpersisted:
             key = (event.instr_id, writer.instr_id, event.tid,
@@ -139,9 +143,7 @@ class InconsistencyChecker(Observer):
             minted.add(label)
         return frozenset(minted)
 
-    def on_store(self, event):
-        if not event.taint:
-            return
+    def on_tainted_store(self, event):
         side_effect_instr = None
         # TaintLabel hashes by identity, so frozenset iteration order
         # follows memory layout and varies between processes. Record

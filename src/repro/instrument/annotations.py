@@ -6,7 +6,14 @@ synchronization-variable *type* once (name, word size, expected post-
 recovery value) and registers the PM addresses of its instances as it lays
 out structures. The checker flags stores to registered addresses and the
 post-failure validator compares the recovered value against ``init_val``.
+
+Every store asks the registry whether its range holds a registered
+address, so :meth:`AnnotationRegistry.lookup` probes an index of start
+addresses by word (one probe per touched word, not per byte), and
+answers at once when nothing is registered.
 """
+
+from ..pmem.cacheline import WORD_SHIFT
 
 
 class SyncVarAnnotation:
@@ -39,6 +46,8 @@ class AnnotationRegistry:
     def __init__(self):
         self._types = {}
         self._by_addr = {}
+        #: word index -> sorted registered start addresses in that word.
+        self._by_word = {}
 
     def pm_sync_var_hint(self, name, size, init_val):
         """Declare a synchronization-variable type; idempotent by name."""
@@ -52,19 +61,35 @@ class AnnotationRegistry:
         """Mark ``addr`` as an instance of the annotated type ``name``."""
         annotation = self._types[name]
         annotation.addrs.add(addr)
+        if addr not in self._by_addr:
+            starts = self._by_word.setdefault(addr >> WORD_SHIFT, [])
+            starts.append(addr)
+            starts.sort()
         self._by_addr[addr] = annotation
 
     def unregister_instance(self, addr):
         annotation = self._by_addr.pop(addr, None)
         if annotation is not None:
             annotation.addrs.discard(addr)
+            word = addr >> WORD_SHIFT
+            starts = self._by_word[word]
+            starts.remove(addr)
+            if not starts:
+                del self._by_word[word]
 
     def lookup(self, addr, size):
-        """The annotation covering any address in ``[addr, addr+size)``."""
-        for offset in range(addr, addr + max(size, 1)):
-            annotation = self._by_addr.get(offset)
-            if annotation is not None:
-                return annotation
+        """The annotation registered at the lowest address in
+        ``[addr, addr+size)``, or None."""
+        by_word = self._by_word
+        if not by_word:
+            return None
+        end = addr + max(size, 1)
+        for word in range(addr >> WORD_SHIFT, ((end - 1) >> WORD_SHIFT) + 1):
+            starts = by_word.get(word)
+            if starts is not None:
+                for start in starts:
+                    if addr <= start < end:
+                        return self._by_addr[start]
         return None
 
     def types(self):

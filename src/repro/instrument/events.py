@@ -1,4 +1,32 @@
-"""Access events published by the hook layer to registered observers."""
+"""What the hook layer publishes: access events and the access trace.
+
+Every instrumented access of a campaign appends one entry to the
+campaign's *trace* (``InstrumentationContext.trace``), a tuple
+``(tid, site, addr, size, how)``. ``how`` is one of :data:`LOAD_CLEAN`,
+:data:`LOAD_DIRTY`, :data:`STORE_CLEAN` and :data:`STORE_DIRTY`, a pair
+of the profile slot (``"loads"`` or ``"stores"``) and the persistency
+state of the access identity (§4.2.1); it is None for a flush or a
+fence (whose ``addr`` is None). Coverage and the shared-access profile
+are folded from the trace once the campaign is over
+(:meth:`repro.core.coverage.FeedbackCollector.on_trace`).
+
+A :class:`PmAccessEvent` is built only for an access some registered
+observer callback takes: generic ``on_load``/``on_store``/``on_flush``/
+``on_fence`` observers see every access, while ``on_dirty_load``,
+``on_tainted_store`` and ``on_annotated_store`` see only the accesses
+they can act on.
+"""
+
+#: Persistency-state component of an access identity.
+STATE_CLEAN = "C"
+STATE_DIRTY = "D"
+
+#: ``how`` of a trace entry: a load that saw no non-persisted writer,
+#: one that saw some, a non-temporal store, and a cached store or CAS.
+LOAD_CLEAN = ("loads", STATE_CLEAN)
+LOAD_DIRTY = ("loads", STATE_DIRTY)
+STORE_CLEAN = ("stores", STATE_CLEAN)
+STORE_DIRTY = ("stores", STATE_DIRTY)
 
 
 class PmAccessEvent:
@@ -67,8 +95,16 @@ class Observer:
     def on_load(self, event):
         """A PM load completed (event.value holds the loaded value)."""
 
+    def on_dirty_load(self, event):
+        """A PM load saw non-persisted writers (``event.nonpersisted``);
+        may return taint labels to attach to the loaded value."""
+
     def on_store(self, event):
         """A PM store (or ntstore / successful CAS) completed."""
+
+    def on_tainted_store(self, event):
+        """A PM store whose content or address carries taint
+        (``event.taint``) completed."""
 
     def on_flush(self, event):
         """A CLWB was issued."""

@@ -425,6 +425,10 @@ class Scheduler:
     def yield_point(self, kind="op", reason=None):
         """Surrender the processor; returns when rescheduled.
 
+        Returns the calling :class:`SimThread` (what :meth:`current`
+        would), or None for driver code outside the simulation, so a PM
+        access needs one scheduler call, not two.
+
         Args:
             kind: "op" for ordinary instrumented operations, "spin" for
                 busy-wait iterations inside blocking primitives.
@@ -432,7 +436,7 @@ class Scheduler:
         """
         thread = getattr(self._local, "sim_thread", None)
         if thread is None:
-            return  # driver code outside the simulation
+            return None  # driver code outside the simulation
         if self._aborting:
             raise ThreadKilled()
         with self._lock:
@@ -442,12 +446,13 @@ class Scheduler:
             if nxt is None:
                 raise ThreadKilled()  # a parked step ended the run
             if nxt is thread:
-                return
+                return thread
             self.handoffs += 1
         nxt._go.release()
         thread._go.acquire()
         if self._aborting:
             raise ThreadKilled()
+        return thread
 
     def park(self, kind, reason, blocked):
         """``yield_point(kind, reason)``, then yield while ``blocked()``.

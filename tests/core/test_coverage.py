@@ -11,7 +11,8 @@ from repro.core import (
     CoverageSet,
     FeedbackCollector,
 )
-from repro.instrument.events import Observer, PmAccessEvent
+from repro.instrument.events import (LOAD_CLEAN, LOAD_DIRTY, STORE_CLEAN,
+                                    STORE_DIRTY, Observer, PmAccessEvent)
 from repro.pmem.cacheline import WORD_SHIFT
 
 
@@ -20,14 +21,26 @@ class FakeThread:
         self.tid = tid
 
 
+# Trace entries ``(tid, site, addr, size, how)``, as PmView appends them.
+
 def load(addr, tid, instr, dirty=False):
-    return PmAccessEvent("load", addr, 8, 0, FakeThread(tid), instr,
-                         nonpersisted=("w",) if dirty else ())
+    return (tid, instr, addr, 8, LOAD_DIRTY if dirty else LOAD_CLEAN)
 
 
 def store(addr, tid, instr, nt=False):
-    return PmAccessEvent("ntstore" if nt else "store", addr, 8, 0,
-                         FakeThread(tid), instr)
+    return (tid, instr, addr, 8, STORE_CLEAN if nt else STORE_DIRTY)
+
+
+def flush(addr, tid, instr):
+    return (tid, instr, addr, 0, None)
+
+
+def fence(tid, instr):
+    return (tid, instr, None, 0, None)
+
+
+def fold(collector, *entries):
+    collector.on_trace(entries)
 
 
 class TestCoverageSet:
@@ -59,30 +72,27 @@ class TestCoverageSet:
 class TestBranchCoverage:
     def test_edges_per_thread(self):
         collector = BranchCoverageCollector()
-        collector.on_load(load(0, 0, "i1"))
-        collector.on_load(load(8, 0, "i2"))
+        fold(collector, load(0, 0, "i1"))
+        fold(collector, load(8, 0, "i2"))
         assert ("i1", "i2") in collector.edges
 
     def test_first_event_edge_from_none(self):
         collector = BranchCoverageCollector()
-        collector.on_load(load(0, 0, "i1"))
+        fold(collector, load(0, 0, "i1"))
         assert (None, "i1") in collector.edges
 
     def test_threads_tracked_separately(self):
         collector = BranchCoverageCollector()
-        collector.on_load(load(0, 0, "i1"))
-        collector.on_load(load(0, 1, "i9"))
-        collector.on_load(load(8, 0, "i2"))
+        fold(collector, load(0, 0, "i1"))
+        fold(collector, load(0, 1, "i9"))
+        fold(collector, load(8, 0, "i2"))
         assert ("i1", "i2") in collector.edges
         assert ("i9", "i2") not in collector.edges
 
     def test_all_event_kinds_counted(self):
         collector = BranchCoverageCollector()
-        collector.on_store(store(0, 0, "s"))
-        collector.on_flush(PmAccessEvent("clwb", 0, 0, None,
-                                         FakeThread(0), "f"))
-        collector.on_fence(PmAccessEvent("sfence", None, 0, None,
-                                         FakeThread(0), "fe"))
+        fold(collector, store(0, 0, "s"))
+        fold(collector, flush(0, 0, "f"), fence(0, "fe"))
         assert ("s", "f") in collector.edges
         assert ("f", "fe") in collector.edges
 
@@ -90,53 +100,54 @@ class TestBranchCoverage:
 class TestAliasCoverage:
     def test_cross_thread_pair(self):
         collector = AliasCoverageCollector()
-        collector.on_store(store(64, 0, "w"))
-        collector.on_load(load(64, 1, "r", dirty=True))
+        fold(collector, store(64, 0, "w"))
+        fold(collector, load(64, 1, "r", dirty=True))
         assert ("w", "D", "r", "D") in collector.pairs
 
     def test_same_thread_no_pair(self):
         collector = AliasCoverageCollector()
-        collector.on_store(store(64, 0, "w"))
-        collector.on_load(load(64, 0, "r"))
+        fold(collector, store(64, 0, "w"))
+        fold(collector, load(64, 0, "r"))
         assert not collector.pairs
 
     def test_different_address_no_pair(self):
         collector = AliasCoverageCollector()
-        collector.on_store(store(64, 0, "w"))
-        collector.on_load(load(128, 1, "r"))
+        fold(collector, store(64, 0, "w"))
+        fold(collector, load(128, 1, "r"))
         assert not collector.pairs
 
     def test_persistency_state_distinguishes(self):
         clean = AliasCoverageCollector()
-        clean.on_store(store(64, 0, "w", nt=True))
-        clean.on_load(load(64, 1, "r", dirty=False))
+        fold(clean, store(64, 0, "w", nt=True))
+        fold(clean, load(64, 1, "r", dirty=False))
         dirty = AliasCoverageCollector()
-        dirty.on_store(store(64, 0, "w"))
-        dirty.on_load(load(64, 1, "r", dirty=True))
+        fold(dirty, store(64, 0, "w"))
+        fold(dirty, load(64, 1, "r", dirty=True))
         assert clean.pairs != dirty.pairs
 
     def test_back_to_back_only(self):
         collector = AliasCoverageCollector()
-        collector.on_store(store(64, 0, "w"))
-        collector.on_load(load(64, 0, "mine"))   # interposes, same thread
-        collector.on_load(load(64, 1, "r"))
+        fold(collector, store(64, 0, "w"))
+        fold(collector, load(64, 0, "mine"))   # interposes, same thread
+        fold(collector, load(64, 1, "r"))
         # the pair recorded is (mine -> r), not (w -> r)
         assert ("mine", "C", "r", "C") in collector.pairs
         assert all(pair[0] != "w" for pair in collector.pairs)
 
     def test_thread_ids_normalized_out(self):
         a = AliasCoverageCollector()
-        a.on_store(store(64, 0, "w"))
-        a.on_load(load(64, 1, "r", dirty=True))
+        fold(a, store(64, 0, "w"))
+        fold(a, load(64, 1, "r", dirty=True))
         b = AliasCoverageCollector()
-        b.on_store(store(64, 3, "w"))
-        b.on_load(load(64, 2, "r", dirty=True))
+        fold(b, store(64, 3, "w"))
+        fold(b, load(64, 2, "r", dirty=True))
         assert a.pairs == b.pairs
 
 
 def access(kind, addr, size, tid, instr, dirty=False):
-    return PmAccessEvent(kind, addr, size, 0, FakeThread(tid), instr,
-                         nonpersisted=("w",) if dirty else ())
+    how = {"load": LOAD_DIRTY if dirty else LOAD_CLEAN,
+           "store": STORE_DIRTY}[kind]
+    return (tid, instr, addr, size, how)
 
 
 class TestAliasCoverageWordGranularity:
@@ -146,36 +157,36 @@ class TestAliasCoverageWordGranularity:
         # store at byte 66 and load at byte 64 touch the same word even
         # though their start addresses differ.
         collector = AliasCoverageCollector()
-        collector.on_store(access("store", 66, 2, 0, "w"))
-        collector.on_load(access("load", 64, 8, 1, "r", dirty=True))
+        fold(collector, access("store", 66, 2, 0, "w"))
+        fold(collector, access("load", 64, 8, 1, "r", dirty=True))
         assert ("w", "D", "r", "D") in collector.pairs
 
     def test_disjoint_bytes_same_word_alias(self):
         # byte ranges [64,68) and [68,72) are disjoint but share word 8
         collector = AliasCoverageCollector()
-        collector.on_store(access("store", 64, 4, 0, "w"))
-        collector.on_load(access("load", 68, 4, 1, "r", dirty=True))
+        fold(collector, access("store", 64, 4, 0, "w"))
+        fold(collector, access("load", 68, 4, 1, "r", dirty=True))
         assert ("w", "D", "r", "D") in collector.pairs
 
     def test_multiword_store_pairs_with_each_word(self):
         collector = AliasCoverageCollector()
-        collector.on_store(access("store", 64, 16, 0, "w"))
-        collector.on_load(access("load", 64, 8, 1, "r1", dirty=True))
-        collector.on_load(access("load", 72, 8, 2, "r2", dirty=True))
+        fold(collector, access("store", 64, 16, 0, "w"))
+        fold(collector, access("load", 64, 8, 1, "r1", dirty=True))
+        fold(collector, access("load", 72, 8, 2, "r2", dirty=True))
         assert ("w", "D", "r1", "D") in collector.pairs
         assert ("w", "D", "r2", "D") in collector.pairs
 
     def test_different_words_no_pair(self):
         collector = AliasCoverageCollector()
-        collector.on_store(access("store", 64, 8, 0, "w"))
-        collector.on_load(access("load", 72, 8, 1, "r", dirty=True))
+        fold(collector, access("store", 64, 8, 0, "w"))
+        fold(collector, access("load", 72, 8, 1, "r", dirty=True))
         assert not collector.pairs
 
     def test_zero_size_access_ignored(self):
         collector = AliasCoverageCollector()
-        collector.on_store(access("store", 64, 8, 0, "w"))
-        collector.on_load(access("load", 64, 0, 1, "zero"))
-        collector.on_load(access("load", 64, 8, 1, "r", dirty=True))
+        fold(collector, access("store", 64, 8, 0, "w"))
+        fold(collector, access("load", 64, 0, 1, "zero"))
+        fold(collector, access("load", 64, 8, 1, "r", dirty=True))
         # the zero-size access neither records a pair nor clobbers the
         # per-word last-access identity
         assert ("w", "D", "r", "D") in collector.pairs
@@ -184,8 +195,8 @@ class TestAliasCoverageWordGranularity:
 
 
 # ----------------------------------------------------------------------
-# The fused collector against the three collectors it replaced, kept
-# here verbatim as the reference.
+# The trace fold against the three per-event collectors it replaced,
+# kept here verbatim as the reference.
 
 class RefBranch(Observer):
     def __init__(self):
@@ -286,8 +297,29 @@ def _event(kind, addr, size, tid, instr, dirty):
                          nonpersisted=("w",) if dirty else ())
 
 
+def _entry(kind, addr, size, tid, instr, dirty):
+    """The trace entry PmView appends for the same access."""
+    how = {"load": LOAD_DIRTY if dirty else LOAD_CLEAN,
+           "store": STORE_DIRTY, "cas": STORE_DIRTY,
+           "ntstore": STORE_CLEAN}.get(kind)
+    return (-1 if tid is None else tid, "i%d" % instr,
+            None if kind == "sfence" else addr, size, how)
+
+
 _HOOK = {"load": "on_load", "store": "on_store", "ntstore": "on_store",
          "cas": "on_store", "clwb": "on_flush", "sfence": "on_fence"}
+
+
+def reference_feedback(events):
+    """(edges, pairs, profile) of the reference collectors fed ``events``."""
+    refs = (RefBranch(), RefAlias(), RefProfiler())
+    for event in events:
+        hook = _HOOK[event.kind]
+        for ref in refs:
+            if hook in vars(type(ref)):
+                getattr(ref, hook)(event)
+    branch, alias, profiler = refs
+    return branch.edges, alias.pairs, profiler.profile
 
 
 class TestFeedbackCollector:
@@ -297,19 +329,19 @@ class TestFeedbackCollector:
         assert AccessProfiler is FeedbackCollector
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_ACCESSES, max_size=60))
-    def test_matches_the_three_collectors(self, accesses):
+    @given(st.lists(_ACCESSES, max_size=60), st.data())
+    def test_matches_the_three_collectors(self, accesses, data):
+        # Folded in arbitrary pieces: consecutive folds must equal one
+        # fold of the whole trace.
+        trace = [_entry(*access) for access in accesses]
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(trace)), max_size=3)))
         fused = FeedbackCollector()
-        refs = (RefBranch(), RefAlias(), RefProfiler())
-        for access in accesses:
-            event = _event(*access)
-            hook = _HOOK[event.kind]
-            getattr(fused, hook)(event)
-            for ref in refs:
-                if hook in vars(type(ref)):
-                    getattr(ref, hook)(event)
-        branch, alias, profiler = refs
-        assert fused.edges == branch.edges
-        assert fused.pairs == alias.pairs
-        assert fused.profile == profiler.profile
-        assert list(fused.profile) == list(profiler.profile)
+        for start, end in zip([0] + cuts, cuts + [len(trace)]):
+            fused.on_trace(trace[start:end])
+        edges, pairs, profile = reference_feedback(
+            _event(*access) for access in accesses)
+        assert fused.edges == edges
+        assert fused.pairs == pairs
+        assert fused.profile == profile
+        assert list(fused.profile) == list(profile)

@@ -3,21 +3,12 @@
 import pytest
 
 from repro.core import AccessProfiler, SharedAccessQueue
-from repro.instrument.events import PmAccessEvent
-
-
-class FakeThread:
-    def __init__(self, tid):
-        self.tid = tid
+from repro.instrument.events import LOAD_CLEAN, STORE_DIRTY
 
 
 def feed(profiler, kind, addr, tid, instr, times=1):
-    for _ in range(times):
-        event = PmAccessEvent(kind, addr, 8, 0, FakeThread(tid), instr)
-        if kind == "load":
-            profiler.on_load(event)
-        else:
-            profiler.on_store(event)
+    how = LOAD_CLEAN if kind == "load" else STORE_DIRTY
+    profiler.on_trace([(tid, instr, addr, 8, how)] * times)
 
 
 def shared_profile(addr=64, freq=1):

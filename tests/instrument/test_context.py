@@ -196,3 +196,64 @@ class TestPerKindDispatch:
         ctx.dispatch_fence(PmAccessEvent("sfence", None, 0))
         assert calls == ["load", "store", "annotated:lock", "flush",
                          "fence"]
+
+
+class TestCheckerHooks:
+    """``on_dirty_load`` and ``on_tainted_store`` take only the accesses
+    they can act on; the store's annotation can be handed in."""
+
+    def test_dirty_load_hooks_only_for_dirty_loads(self):
+        ctx = InstrumentationContext()
+        seen = []
+
+        class Checker(Observer):
+            def on_dirty_load(self, event):
+                seen.append(event.addr)
+                return L1
+
+        class Generic(Observer):
+            def on_load(self, event):
+                return L2
+
+        ctx.add_observer(Checker())
+        ctx.add_observer(Generic())
+        assert ctx.dispatch_load(PmAccessEvent("load", 64, 8, 1)) == L2
+        dirty = PmAccessEvent("load", 128, 8, 1, nonpersisted=("w",))
+        assert ctx.dispatch_load(dirty) == (L1 | L2)
+        assert seen == [128]
+
+    def test_tainted_store_hooks_only_for_tainted_stores(self):
+        ctx = InstrumentationContext()
+        calls = []
+
+        class Checker(Observer):
+            def on_tainted_store(self, event):
+                calls.append(("tainted", event.addr))
+
+        class Generic(Observer):
+            def on_store(self, event):
+                calls.append(("store", event.addr))
+
+        ctx.add_observer(Generic())
+        ctx.add_observer(Checker())
+        ctx.dispatch_store(PmAccessEvent("store", 64, 8, 1))
+        ctx.dispatch_store(PmAccessEvent("store", 128, 8, 1, taint=L1))
+        assert calls == [("store", 64), ("tainted", 128), ("store", 128)]
+
+    def test_handed_annotation_is_not_looked_up_again(self):
+        from repro.instrument import AnnotationRegistry
+        registry = AnnotationRegistry()
+        lock = registry.pm_sync_var_hint("lock", 8, 0)
+        registry.register_instance("lock", 64)
+        ctx = InstrumentationContext(annotations=registry)
+        hits = []
+
+        class Spy(Observer):
+            def on_annotated_store(self, annotation, event):
+                hits.append((annotation.name, event.addr))
+
+        ctx.add_observer(Spy())
+        registry.lookup = None  # a lookup here would raise
+        ctx.dispatch_store(PmAccessEvent("store", 64, 8, 1), None)
+        ctx.dispatch_store(PmAccessEvent("store", 512, 8, 1), lock)
+        assert hits == [("lock", 512)]

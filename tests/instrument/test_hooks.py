@@ -281,3 +281,114 @@ class TestLazyStacks:
         view.ntstore_u64(64, 1)
         view.load_u64(64)
         assert recorder.events[-1].frame is None
+
+
+@pytest.fixture
+def built_events(monkeypatch):
+    """Every PmAccessEvent the hook layer builds, in order."""
+    from repro.instrument import hooks
+    from repro.instrument.events import PmAccessEvent
+
+    built = []
+
+    class SpyEvent(PmAccessEvent):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(hooks, "PmAccessEvent", SpyEvent)
+    return built
+
+
+class TestLazyEvents:
+    """An access builds an event only when a registered callback takes
+    it."""
+
+    def make(self):
+        pool = PmemPool("lazy-events", 8192)
+        ctx = InstrumentationContext(trace=[])
+        return ctx, PmView(pool, None, ctx)
+
+    def test_no_observer_no_event(self, built_events):
+        ctx, view = self.make()
+        view.store_u64(64, 1)
+        view.load_u64(64)
+        view.cas_u64(64, 1, 2)
+        view.persist(64, 8)
+        assert built_events == []
+        assert len(ctx.trace) == 6
+
+    def test_checker_takes_dirty_loads_tainted_and_annotated_stores(
+            self, built_events):
+        from repro.instrument import AnnotationRegistry
+        registry = AnnotationRegistry()
+        registry.pm_sync_var_hint("lock", 8, 0)
+        registry.register_instance("lock", 512)
+        pool = PmemPool("lazy-events", 8192)
+        ctx = InstrumentationContext(annotations=registry)
+        checker = ctx.add_observer(InconsistencyChecker(pool))
+        view = PmView(pool, None, ctx)
+        view.ntstore_u64(0, 5)
+        view.load_u64(0)                  # clean load: no event
+        view.store_u64(64, 1)             # untainted store: no event
+        value = view.load_u64(64)         # dirty load
+        view.ntstore_u64(128, value)      # tainted store
+        view.store_u64(512, 1)            # annotated store
+        view.persist(0, 256)              # flushes and a fence: none
+        assert [(event.kind, event.addr) for event in built_events] == [
+            ("load", 64), ("ntstore", 128), ("store", 512)]
+        assert len(checker.candidates) == 1
+        assert len(checker.inconsistencies) == 1
+        assert len(checker.sync_inconsistencies) == 1
+
+    def test_generic_load_observer_sees_every_load(self, built_events):
+        seen = []
+
+        class Loads(Observer):
+            def on_load(self, event):
+                seen.append((event.addr, bool(event.nonpersisted)))
+
+        pool = PmemPool("lazy-events", 8192)
+        ctx = InstrumentationContext()
+        ctx.add_observer(InconsistencyChecker(pool))
+        ctx.add_observer(Loads())
+        view = PmView(pool, None, ctx)
+        view.ntstore_u64(0, 5)
+        view.store_u64(64, 1)
+        view.load_u64(0)
+        view.load_u64(64)
+        view.cas_u64(0, 5, 6)
+        assert seen == [(0, False), (64, True), (0, False)]
+        assert [event.kind for event in built_events] == [
+            "load", "load", "load"]
+
+    def test_one_trace_entry_per_access(self):
+        from repro.instrument.events import (LOAD_CLEAN, LOAD_DIRTY,
+                                             STORE_CLEAN, STORE_DIRTY)
+        ctx, view = self.make()
+
+        def target_code():
+            view.store_u64(64, 1)
+            view.load_bytes(60, 12)
+            view.ntstore_bytes(128, b"ab")
+            view.cas_u64(256, 0, 7)
+            view.cas_u64(256, 0, 8)    # fails: its load only
+            view.clwb(64)
+            view.sfence()
+
+        target_code()
+        assert [entry[0] for entry in ctx.trace] == [-1] * 8
+        assert [entry[2:] for entry in ctx.trace] == [
+            (64, 8, STORE_DIRTY), (60, 12, LOAD_DIRTY),
+            (128, 2, STORE_CLEAN), (256, 8, LOAD_CLEAN),
+            (256, 8, STORE_DIRTY), (256, 8, LOAD_DIRTY),
+            (64, 0, None), (None, 0, None)]
+        names = [ctx.callsites.name(entry[1]) for entry in ctx.trace]
+        assert all(":target_code:" in name for name in names)
+
+    def test_recovery_views_keep_no_trace(self, setup):
+        _pool, ctx, _recorder, view = setup
+        view.store_u64(64, 1)
+        assert ctx.trace is None

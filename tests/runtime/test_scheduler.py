@@ -194,8 +194,26 @@ class TestErrors:
 
     def test_yield_outside_simulation_is_noop(self):
         scheduler = Scheduler(RoundRobinPolicy())
-        scheduler.yield_point("op")  # driver thread: no crash
+        assert scheduler.yield_point("op") is None  # driver thread
         assert scheduler.steps == 0
+
+    @pytest.mark.parametrize("n_threads", [1, 3])
+    def test_yield_point_returns_the_calling_thread(self, n_threads):
+        # With one thread every yield picks the caller again (no
+        # handoff); with three, most yields hand off and come back.
+        scheduler = Scheduler(RoundRobinPolicy())
+        returned = []
+
+        def worker():
+            for _ in range(4):
+                returned.append((scheduler.current(),
+                                 scheduler.yield_point("op")))
+
+        threads = [scheduler.spawn(worker) for _ in range(n_threads)]
+        assert scheduler.run().ok
+        assert len(returned) == 4 * n_threads
+        assert all(thread is current for current, thread in returned)
+        assert {thread for _current, thread in returned} == set(threads)
 
 
 class TestDelaySleeping:
