@@ -13,8 +13,7 @@ The workload is a bounded append-only log with two deliberate traits:
   missing-flush ordering bug). ``audit`` reads the head lock-free and
   durably checkpoints it, so a crash in the window leaves a durable
   checkpoint describing entries the log never persisted. PMRace
-  reports it as an inter-thread inconsistency with verdict ``BUG``,
-  and ``repro lint`` flags the write site statically (PM01).
+  reports it as an inter-thread inconsistency with verdict ``BUG``.
 * **Benign counterpart** — the persistent writer lock is annotated as
   a PM synchronization variable and recovery *does* re-initialize it,
   so its inconsistency validates as a false positive

@@ -16,20 +16,16 @@ Commands:
     stats <file.jsonl>          summarize a --trace-out/--metrics-out file
     corpus <action> <dir>       inspect (stats) or coverage-minimize a
                                 persisted seed corpus (--corpus-dir)
-    lint [files...]             static PM-misuse analysis (pmlint); with
-                                no files, lints the built-in target modules
 
 Every subcommand accepts ``--target-module pkg.mod`` (repeatable; a
 ``path/to/file.py`` also works): the module is imported first and the
 Target subclasses it defines register alongside the built-ins, so
-third-party workloads fuzz, lint, validate, and replay through the same
+third-party workloads fuzz, validate, and replay through the same
 commands (see ``docs/TARGET_SDK.md``).
 
 ``fuzz``, ``fuzz-parallel``, ``validate``, and ``tables`` accept
 ``--trace-out FILE`` (typed JSONL event stream) and ``--metrics-out
 FILE`` (counter/gauge/histogram registry dump); ``stats`` reads either.
-``lint`` exits nonzero when unsuppressed findings remain; see
-``docs/LINT_RULES.md`` for the rules and the suppression format.
 
 ``--repro-dir DIR`` on the fuzzing commands captures one deterministic
 repro bundle per kept record (see ``docs/REPRODUCERS.md``); ``replay``
@@ -464,36 +460,6 @@ def cmd_stats(args):
     return 0
 
 
-def cmd_lint(args):
-    """Static PM-misuse analysis; exit 1 when findings survive."""
-    from .analysis import (lint_builtin_targets, lint_file,
-                           load_builtin_whitelist)
-
-    extra = []
-    if args.whitelist:
-        extra = [entry for entry in load_whitelist(
-            args.whitelist, include_defaults=False).entries]
-    if args.no_builtin_whitelist:
-        whitelist = Whitelist(extra)
-    else:
-        whitelist = load_builtin_whitelist(extra)
-    if args.files:
-        report = None
-        for path in args.files:
-            one = lint_file(path, whitelist=whitelist)
-            if report is None:
-                report = one
-            else:
-                report.extend(one)
-    else:
-        report = lint_builtin_targets(whitelist=whitelist)
-    if args.json:
-        print(report.render_json())
-    else:
-        print(report.render_text())
-    return 1 if report.findings else 0
-
-
 def cmd_tables(args):
     tracer, metrics = _make_obs(args)
     results = {}
@@ -621,21 +587,6 @@ def build_parser():
                         help="minimize only: delete the redundant seed "
                              "files instead of dry-running")
 
-    lint = sub.add_parser(
-        "lint",
-        help="static PM-misuse analysis (pmlint) over target source")
-    lint.add_argument("files", nargs="*",
-                      help="python files to lint (default: every "
-                           "registered target module)")
-    lint.add_argument("--json", action="store_true",
-                      help="emit the report as JSON instead of text")
-    lint.add_argument("--whitelist", metavar="FILE",
-                      help="extra suppression entries (whitelist format)")
-    lint.add_argument("--no-builtin-whitelist", action="store_true",
-                      dest="no_builtin_whitelist",
-                      help="do not apply analysis/builtin.whitelist "
-                           "(shows the intentional Table 2 bugs)")
-
     # The plugin boundary: every subcommand resolves targets by name
     # through the registry, so every subcommand can extend it first.
     for subparser in sub.choices.values():
@@ -659,7 +610,7 @@ def main(argv=None):
                "validate": cmd_validate,
                "replay": cmd_replay, "shrink": cmd_shrink,
                "tables": cmd_tables, "stats": cmd_stats,
-               "corpus": cmd_corpus, "lint": cmd_lint}[args.command]
+               "corpus": cmd_corpus}[args.command]
     return handler(args)
 
 

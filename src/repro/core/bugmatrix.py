@@ -24,6 +24,9 @@ share :data:`MATRIX_BUDGETS` so "pinned seeds" means the same seeds
 everywhere. Dynamically registered plugin targets participate
 automatically once their bugs are added to ``SEEDED_BUGS``-style
 catalogs: :func:`run_bug_matrix` takes any list of registered names.
+:func:`power_session` and :func:`bugs_hit` measure how often each bug
+is found, one session per base seed at the same campaign budgets
+(``benchmarks/bench_bug_power.py``).
 """
 
 from ..detect.records import Verdict
@@ -155,6 +158,24 @@ def run_bug_matrix(names=None, budgets=None, replay=True):
         results[name] = result
         rows.extend(target_matrix_rows(name, result, replay=replay))
     return rows, results
+
+
+def power_session(name, base_seed):
+    """One single-seed session at ``name``'s matrix campaign budget."""
+    budget = dict(MATRIX_BUDGETS.get(name, DEFAULT_BUDGET))
+    del budget["seeds"]
+    config = PMRaceConfig(max_seeds=budget.pop("max_seeds", 16), **budget)
+    return fuzz_parallel(name, config, seeds=(base_seed,), processes=1)
+
+
+def bugs_hit(name, result):
+    """Ids of ``name``'s catalogued bugs that ``result`` finds: a
+    ``BUG``-verdict record for record-backed kinds, a
+    :func:`match_expected` match for candidate and hang kinds."""
+    return {expected.bug_id for expected in expected_bugs_for(name)
+            if (bug_records(result, expected)
+                if expected.kind in RECORD_KINDS
+                else match_expected(expected, result))}
 
 
 def matrix_failures(rows):

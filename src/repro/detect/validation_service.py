@@ -89,7 +89,7 @@ def fresh_target_factory(target):
 
 
 def make_validation_queue(target_name, whitelist=None, tracer=None,
-                          metrics=None, cache=True):
+                          metrics=None):
     """A standalone cached :class:`ValidationQueue` for ``target_name``.
 
     The replay/shrink tooling validates re-detected records outside any
@@ -102,8 +102,7 @@ def make_validation_queue(target_name, whitelist=None, tracer=None,
     validator = PostFailureValidator(
         fresh_target_factory(target), whitelist or Whitelist(),
         tracer=tracer, metrics=metrics)
-    return ValidationQueue(validator, tracer=tracer, metrics=metrics,
-                           cache=cache)
+    return ValidationQueue(validator, tracer=tracer, metrics=metrics)
 
 
 class ValidationQueue:
@@ -120,7 +119,7 @@ class ValidationQueue:
             ``validate.upgrades`` counters and the
             ``validate.queue.depth`` gauge.
         cache: Disable to replay every record's image individually
-            (the A/B knob ``benchmarks/bench_validation.py`` measures).
+            (the uncached reference the cache must agree with).
     """
 
     def __init__(self, validator, tracer=None, metrics=None, cache=True):

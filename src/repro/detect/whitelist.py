@@ -40,9 +40,8 @@ class Whitelist:
         self.entries.append(location)
 
     def matches_location(self, location):
-        """True if one resolved ``module:function:line`` string hits an
-        entry.  Shared by dynamic stack matching and pmlint's static
-        findings, which address code with the same strings."""
+        """True if one resolved ``module:function:line`` stack frame hits
+        an entry (any entry that is a substring of it)."""
         return any(entry in location for entry in self.entries)
 
     def matches(self, record):

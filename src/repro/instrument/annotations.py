@@ -95,16 +95,6 @@ class AnnotationRegistry:
     def types(self):
         return list(self._types.values())
 
-    def declared_names(self):
-        """The declared sync-var type names, as a set.
-
-        pmlint's PM03 rule consumes this when a live registry is
-        available: lock-like PM stores whose identifiers match no
-        declared name are reported as unregistered (post-failure
-        validation cannot check them).
-        """
-        return set(self._types)
-
     @property
     def annotation_count(self):
         """Number of annotated types — the "Annotation" column of Table 3."""

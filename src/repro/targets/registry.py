@@ -3,7 +3,7 @@
 The registry is the plugin boundary of the target SDK
 (``docs/TARGET_SDK.md``): the built-in Table 1 systems register here at
 import time through the same :func:`register_target` call any external
-workload uses, and every consumer — the engine, the CLI, pmlint, the
+workload uses, and every consumer — the engine, the CLI, the
 replay tooling, parallel workers — resolves targets exclusively by
 name through this module. ``--target-module pkg.mod`` (or a
 ``path/to/file.py``) on any CLI subcommand funnels into
@@ -138,8 +138,7 @@ def _unknown_message(name):
 
 
 def target_class(name):
-    """Look up a target class by name (no instantiation — static
-    tooling like pmlint resolves source files from the class)."""
+    """Look up a target class by name, without instantiating it."""
     try:
         return _REGISTRY[name]
     except KeyError:

@@ -8,7 +8,7 @@ the referenced document, using GitHub's heading-slug rules. External
 ``http(s)``/``mailto`` links are not fetched — only noted with
 ``--list``.
 
-Exit status is non-zero when any link is broken; CI's docs-and-lint
+Exit status is non-zero when any link is broken; CI's docs
 job runs this on every push.
 
     python tools/check_links.py             # README.md + docs/*.md
