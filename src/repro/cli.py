@@ -8,7 +8,7 @@ Commands:
     targets                     list the registered targets (--check runs
                                 the contract-conformance suite)
     fuzz <target>               fuzz one target and print its bugs
-    fuzz-parallel <target>      fuzz one target with a worker pool (§5)
+                                (--parallel N: on a worker pool, §5)
     validate <target>           fuzz, then post-failure validate separately
     replay <bundle.json>        re-execute a repro bundle, assert identity
     shrink <bundle.json>        ddmin-minimize a repro bundle
@@ -23,7 +23,7 @@ Target subclasses it defines register alongside the built-ins, so
 third-party workloads fuzz, validate, and replay through the same
 commands (see ``docs/TARGET_SDK.md``).
 
-``fuzz``, ``fuzz-parallel``, ``validate``, and ``tables`` accept
+``fuzz``, ``validate``, and ``tables`` accept
 ``--trace-out FILE`` (typed JSONL event stream) and ``--metrics-out
 FILE`` (counter/gauge/histogram registry dump); ``stats`` reads either.
 
@@ -47,8 +47,7 @@ from .core.results import (
 )
 from .detect.records import Verdict
 from .detect.reporting import dump_run_result, load_whitelist
-from .detect.validation_service import validate_records_parallel
-from .detect.whitelist import Whitelist
+from .detect.validation_service import make_validation_queue
 from .obs import Metrics, Tracer, render_stats, summarize_path
 from .targets import make_target, table1_rows, target_names
 from .targets.registry import TargetModuleError, load_target_modules
@@ -62,7 +61,7 @@ def _add_plugin_option(parser):
                              "repeatable")
 
 
-def _add_fuzz_options(parser, parallel_flag=True, session_flag=False):
+def _add_fuzz_options(parser, parallel_flag=True):
     parser.add_argument("--campaigns", type=int, default=80,
                         help="campaigns per seed (default 80)")
     parser.add_argument("--seeds", type=int, nargs="+",
@@ -78,24 +77,14 @@ def _add_fuzz_options(parser, parallel_flag=True, session_flag=False):
                         help="extra whitelist entries (one per line)")
     if parallel_flag:
         parser.add_argument("--parallel", type=int, metavar="N", default=0,
-                            help="fuzz with N worker processes (§5)")
+                            help="fuzz with N worker processes (§5; "
+                                 "default 0 and 1 run in-process)")
     parser.add_argument("--repro-dir", metavar="DIR", dest="repro_dir",
                         help="capture a deterministic repro bundle per "
                              "kept record and write them here")
     parser.add_argument("--corpus-dir", metavar="DIR", dest="corpus_dir",
                         help="persist the retained seed corpus here (one "
                              "JSON file per seed) and resume from it")
-    if session_flag:
-        parser.add_argument("--session-dir", metavar="DIR",
-                            dest="session_dir",
-                            help="make the run durable: journal + "
-                                 "checkpoint every completed work unit "
-                                 "here so a killed run can continue "
-                                 "(see docs/SESSIONS.md)")
-        parser.add_argument("--resume", action="store_true",
-                            help="continue the session in --session-dir: "
-                                 "skip finished work units, keep retry "
-                                 "budgets, re-validate pending records")
     parser.add_argument("--output", metavar="FILE",
                         help="write the full JSON report here")
     parser.add_argument("--trace-out", metavar="FILE", dest="trace_out",
@@ -158,10 +147,11 @@ def _open_session(args, target, kind, config, tracer=None, metrics=None):
     return session, None
 
 
-def _fuzz_exit(result, args, max_retries):
+def _fuzz_exit(result, args):
     """The fuzz commands' exit code: 128+signum when a session run was
     interrupted (checkpointed and resumable), 1 when a worker exhausted
     its retry budget, else 0."""
+    max_retries = getattr(args, "max_retries", 0)
     if result.interrupted is not None:
         print("\ninterrupted by signal %d — session checkpointed to %s; "
               "rerun with --resume to continue"
@@ -182,13 +172,17 @@ def _fuzz_exit(result, args, max_retries):
 
 
 def _fuzz_one(name, args, config=None, tracer=None, metrics=None,
-              session=None):
+              session=None, progress=None):
     """Fuzz ``name`` once per ``--seeds`` entry: in-process, or on a pool
-    of ``--parallel N`` workers. A seed that raises is not retried."""
+    of ``--parallel N`` workers. Only ``fuzz`` takes ``--worker-timeout``
+    and ``--max-retries``; elsewhere a seed that raises is not retried."""
     return fuzz_parallel(name, config or _make_config(args),
                          seeds=tuple(args.seeds),
                          processes=getattr(args, "parallel", 0) or 1,
-                         max_retries=0, tracer=tracer, metrics=metrics,
+                         worker_timeout=getattr(args, "worker_timeout",
+                                                None),
+                         max_retries=getattr(args, "max_retries", 0),
+                         progress=progress, tracer=tracer, metrics=metrics,
                          session=session)
 
 
@@ -253,23 +247,6 @@ def _check_target(name):
 def cmd_fuzz(args):
     if not _check_target(args.target):
         return 2
-    tracer, metrics = _make_obs(args)
-    config = _make_config(args)
-    kind = "parallel" if getattr(args, "parallel", 0) else "serial"
-    session, error = _open_session(args, args.target, kind, config,
-                                   tracer=tracer, metrics=metrics)
-    if error is not None:
-        return error
-    result = _fuzz_one(args.target, args, config=config, tracer=tracer,
-                       metrics=metrics, session=session)
-    _print_findings(result, args)
-    _close_obs(args, tracer, metrics)
-    return _fuzz_exit(result, args, max_retries=0)
-
-
-def cmd_fuzz_parallel(args):
-    if not _check_target(args.target):
-        return 2
 
     def progress(stats, merged):
         note = "" if stats.status == "ok" else \
@@ -282,23 +259,19 @@ def cmd_fuzz_parallel(args):
 
     tracer, metrics = _make_obs(args)
     config = _make_config(args)
-    session, error = _open_session(args, args.target, "parallel", config,
+    kind = "parallel" if args.parallel else "serial"
+    session, error = _open_session(args, args.target, kind, config,
                                    tracer=tracer, metrics=metrics)
     if error is not None:
         return error
-    result = fuzz_parallel(args.target, config,
-                           seeds=tuple(args.seeds),
-                           processes=args.processes or None,
-                           worker_timeout=args.worker_timeout,
-                           max_retries=args.max_retries,
-                           progress=progress, tracer=tracer,
-                           metrics=metrics, session=session)
+    result = _fuzz_one(args.target, args, config=config, tracer=tracer,
+                       metrics=metrics, session=session, progress=progress)
     print(render_table(build_worker_table(result),
                        title="Workers (§5 concurrent fuzzing)"))
     print()
     _print_findings(result, args)
     _close_obs(args, tracer, metrics)
-    return _fuzz_exit(result, args, max_retries=args.max_retries)
+    return _fuzz_exit(result, args)
 
 
 def cmd_validate(args):
@@ -311,10 +284,12 @@ def cmd_validate(args):
     result = _fuzz_one(args.target, args, config=config, tracer=tracer,
                        metrics=metrics)
     records = list(result.inconsistencies) + list(result.sync_inconsistencies)
-    stats = validate_records_parallel(
-        args.target, records, whitelist=config.whitelist or Whitelist(),
-        jobs=args.jobs, tracer=tracer, metrics=metrics,
-        target_modules=config.target_modules)
+    queue = make_validation_queue(args.target, whitelist=config.whitelist,
+                                  tracer=tracer, metrics=metrics)
+    for record in records:
+        queue.enqueue(record)
+    queue.drain()
+    stats = queue.stats()
     result._regroup()
     by_verdict = {}
     for record in records:
@@ -332,7 +307,7 @@ def cmd_validate(args):
     print()
     _print_findings(result, args)
     _close_obs(args, tracer, metrics)
-    return _fuzz_exit(result, args, max_retries=0)
+    return _fuzz_exit(result, args)
 
 
 def _load_bundle(path):
@@ -348,7 +323,6 @@ def _load_bundle(path):
 
 def cmd_replay(args):
     """Re-execute a repro bundle; nonzero exit on any mismatch."""
-    from .detect.validation_service import make_validation_queue
     from .replay import replay_bundle
     bundle = _load_bundle(args.bundle)
     if bundle is None:
@@ -482,7 +456,7 @@ def cmd_tables(args):
     print()
     print(render_table(build_table6(results),
                        title="Table 6: inconsistencies and FPs"))
-    return max(_fuzz_exit(result, args, max_retries=0)
+    return max(_fuzz_exit(result, args)
                for result in results.values())
 
 
@@ -501,22 +475,22 @@ def build_parser():
 
     fuzz = sub.add_parser("fuzz", help="fuzz one target")
     fuzz.add_argument("target", help="registered target name, e.g. P-CLHT")
-    _add_fuzz_options(fuzz, session_flag=True)
-
-    par = sub.add_parser(
-        "fuzz-parallel",
-        help="fuzz one target with a fault-tolerant worker pool (§5)")
-    par.add_argument("target", help="registered target name, e.g. P-CLHT")
-    _add_fuzz_options(par, parallel_flag=False, session_flag=True)
-    par.add_argument("--processes", type=int, metavar="N", default=0,
-                     help="worker pool size (default min(seeds, cpus); "
-                          "1 = in-process)")
-    par.add_argument("--worker-timeout", type=float, metavar="SECONDS",
-                     default=None,
-                     help="write off a worker as hung after this long")
-    par.add_argument("--max-retries", type=int, default=1,
-                     help="retries per failed worker, fresh seed each "
-                          "(default 1)")
+    _add_fuzz_options(fuzz)
+    fuzz.add_argument("--worker-timeout", type=float, metavar="SECONDS",
+                      default=None,
+                      help="with --parallel: write off a worker as hung "
+                           "after this long")
+    fuzz.add_argument("--max-retries", type=int, default=0,
+                      help="retries per failed seed, fresh seed each "
+                           "(default 0)")
+    fuzz.add_argument("--session-dir", metavar="DIR", dest="session_dir",
+                      help="make the run durable: journal + checkpoint "
+                           "every completed work unit here so a killed "
+                           "run can continue (see docs/SESSIONS.md)")
+    fuzz.add_argument("--resume", action="store_true",
+                      help="continue the session in --session-dir: skip "
+                           "finished work units, keep retry budgets, "
+                           "re-validate pending records")
 
     validate = sub.add_parser(
         "validate",
@@ -524,10 +498,6 @@ def build_parser():
              "validation as its own observable pass")
     validate.add_argument("target", help="registered target name")
     _add_fuzz_options(validate, parallel_flag=False)
-    validate.add_argument("--jobs", type=int, metavar="N", default=1,
-                          help="validate with N worker processes, "
-                               "partitioned by crash-image digest "
-                               "(default 1 = in-process)")
 
     replay = sub.add_parser(
         "replay",
@@ -606,7 +576,6 @@ def main(argv=None):
         print("registered plugin target(s): %s" % ", ".join(loaded),
               file=sys.stderr)
     handler = {"targets": cmd_targets, "fuzz": cmd_fuzz,
-               "fuzz-parallel": cmd_fuzz_parallel,
                "validate": cmd_validate,
                "replay": cmd_replay, "shrink": cmd_shrink,
                "tables": cmd_tables, "stats": cmd_stats,

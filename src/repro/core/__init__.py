@@ -10,12 +10,7 @@ from .bugmatrix import (
 )
 from .campaign import CampaignResult, run_campaign
 from .checkpoints import StateProvider, make_state_provider
-from .coverage import (
-    AliasCoverageCollector,
-    BranchCoverageCollector,
-    CoverageSet,
-    FeedbackCollector,
-)
+from .coverage import CoverageSet, FeedbackCollector
 from .corpus import (
     Corpus,
     SeedEntry,
@@ -25,7 +20,7 @@ from .corpus import (
 from .engine import HangRecord, PMRace, PMRaceConfig, RunResult
 from .inputgen import AflByteMutator, OperationMutator, Seed
 from .parallel import ParallelFuzzService, WorkerStats, fuzz_parallel
-from .priority import AccessProfiler, SharedAccessEntry, SharedAccessQueue
+from .priority import SharedAccessEntry, SharedAccessQueue
 from .seeding import mix_seeds, policy_seed, retry_seed
 from .session import (
     FaultInjector,
@@ -70,8 +65,6 @@ __all__ = [
     "StateProvider",
     "make_state_provider",
     "CoverageSet",
-    "BranchCoverageCollector",
-    "AliasCoverageCollector",
     "FeedbackCollector",
     "Seed",
     "OperationMutator",
@@ -80,7 +73,6 @@ __all__ = [
     "SeedEntry",
     "seed_digest",
     "minimize_by_coverage",
-    "AccessProfiler",
     "SharedAccessEntry",
     "SharedAccessQueue",
     "SyncPointController",

@@ -139,5 +139,5 @@ class FeedbackCollector:
             last.update(dict.fromkeys(words, (instr, state, tid)))
 
 
-#: The collector under its per-metric names (one class behind all three).
+#: Old per-metric names of the collector; pmbench/layertrace.py uses them.
 BranchCoverageCollector = AliasCoverageCollector = FeedbackCollector

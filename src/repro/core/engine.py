@@ -111,9 +111,9 @@ class PMRaceConfig:
         self.initial_corpus = initial_corpus
         #: Plugin modules (``--target-module`` specs) to import before
         #: resolving targets by name. Carried in the config so worker
-        #: *processes* (parallel fuzzing, ``validate --jobs``) can
-        #: re-register dynamically loaded targets in their own
-        #: interpreter before ``make_target`` runs.
+        #: *processes* (``repro fuzz --parallel N``) can re-register
+        #: dynamically loaded targets in their own interpreter before
+        #: ``make_target`` runs.
         self.target_modules = tuple(target_modules)
 
 

@@ -25,9 +25,9 @@ matrix run), with the guarantees a long campaign needs:
   deterministically-crashing seed no longer burns its whole retry
   budget in milliseconds.  The clock and sleep are injectable so tests
   assert the schedule without real waiting.
-* **Supervision** — workers piggyback periodic heartbeats on the
-  start-report queue; the parent stamps the last-seen beat per job and
-  uses the reported pid for liveness checks and targeted kills.
+* **Supervision** — each worker reports its pid and execution-start
+  stamp when it picks a job up; the parent times jobs out from that
+  stamp and uses the pid for liveness checks and targeted kills.
 * **Corpus sharing** — each worker's retained seed corpus
   (``RunResult.corpus_seeds``) is folded into the merged result by
   content digest, and retried sessions start from the merged shared
@@ -53,7 +53,6 @@ import multiprocessing
 import os
 import random
 import signal
-import threading
 import time
 import traceback
 from queue import Empty
@@ -67,39 +66,21 @@ from .session import SessionInterrupted, SignalGuard
 #: Seconds between completion polls of in-flight pool jobs.
 _POLL_INTERVAL = 0.02
 
-#: Default seconds between worker heartbeats on the report queue.
-_HEARTBEAT_INTERVAL = 2.0
-
 #: Salt for the retry-backoff jitter stream (distinct from RETRY_SALT so
 #: backoff draws never correlate with retry seed derivation).
 _BACKOFF_SALT = 0xB0FF
 
 #: Worker-side report queue, installed by the pool initializer.  Workers
-#: send tagged tuples ``(tag, worker_id, attempt, pid, monotonic_stamp)``:
-#: a ``"start"`` report the moment they pick a job up — so the parent can
-#: (a) start the timeout clock at *execution* start rather than
-#: submission and (b) SIGKILL the exact process running a hung job — and
-#: ``"beat"`` heartbeats every few seconds while the job runs, so the
-#: parent knows a silent worker is alive (slow) rather than dead.
+#: send a ``(worker_id, attempt, pid, monotonic_stamp)`` start report the
+#: moment they pick a job up, so the parent can (a) start the timeout
+#: clock at *execution* start rather than submission and (b) SIGKILL the
+#: exact process running a hung job.
 _start_queue = None
 
 
 def _pool_worker_init(queue):
     global _start_queue
     _start_queue = queue
-
-
-def _heartbeat_loop(worker_id, attempt, interval, done):
-    """Worker-side daemon: periodic beats until ``done`` is set."""
-    while not done.wait(interval):
-        queue = _start_queue
-        if queue is None:
-            return
-        try:
-            queue.put(("beat", worker_id, attempt, os.getpid(),
-                       time.monotonic()))
-        except Exception:
-            return
 
 
 class WorkerStats:
@@ -129,10 +110,6 @@ class WorkerStats:
         self.execs_per_sec = 0.0
         self.corpus_seeded = 0
         self.error = None
-
-    @property
-    def retries(self):
-        return self.attempt
 
     def record(self, result):
         self.status = "ok"
@@ -181,9 +158,8 @@ class _Job:
 
     ``started``/``pid`` arrive from the worker's start report; a job
     that never reported is still queued behind busy pool slots and must
-    not be timed out.  ``last_beat`` tracks the newest heartbeat.
-    ``not_before`` is the earliest dispatch time (retry backoff);
-    ``shared_corpus`` carries exported corpus entries
+    not be timed out.  ``not_before`` is the earliest dispatch time
+    (retry backoff); ``shared_corpus`` carries exported corpus entries
     (``RunResult.corpus_seeds``) a retry starts from.
     """
 
@@ -194,7 +170,6 @@ class _Job:
         self.shared_corpus = shared_corpus
         self.started = None
         self.pid = None
-        self.last_beat = None
         self.not_before = 0.0
 
     @property
@@ -236,20 +211,12 @@ def _run_worker(payload, tracer=None, metrics=None):
     adopts a duplicate's bundle for any bundle-less kept record, same
     as crash images.
     """
-    (worker_id, attempt, factory, config, seed, shared_corpus,
-     heartbeat_interval) = payload
-    beat_done = None
+    worker_id, attempt, factory, config, seed, shared_corpus = payload
     if _start_queue is not None:
         # CLOCK_MONOTONIC is system-wide on Linux, so the parent can
         # compare this stamp against its own clock directly.
-        _start_queue.put(("start", worker_id, attempt, os.getpid(),
+        _start_queue.put((worker_id, attempt, os.getpid(),
                           time.monotonic()))
-        if heartbeat_interval:
-            beat_done = threading.Event()
-            threading.Thread(
-                target=_heartbeat_loop,
-                args=(worker_id, attempt, heartbeat_interval, beat_done),
-                daemon=True).start()
     try:
         if isinstance(factory, str):
             # A dynamically registered target only exists by name after
@@ -272,11 +239,6 @@ def _run_worker(payload, tracer=None, metrics=None):
     except Exception:
         return (worker_id, attempt, seed, "error",
                 traceback.format_exc())
-    finally:
-        if beat_done is not None:
-            # Pool workers persist across tasks: stop this job's beats
-            # so a later job on the same process isn't double-reported.
-            beat_done.set()
 
 
 def _target_name(target):
@@ -317,8 +279,7 @@ class ParallelFuzzService:
                  processes=None, worker_timeout=None, max_retries=1,
                  progress=None, tracer=None, metrics=None, session=None,
                  retry_backoff=0.5, retry_backoff_cap=30.0,
-                 backoff_rng=None, clock=time.monotonic, sleep=time.sleep,
-                 heartbeat_interval=_HEARTBEAT_INTERVAL):
+                 backoff_rng=None, clock=time.monotonic, sleep=time.sleep):
         if not seeds:
             raise ValueError("fuzz_parallel needs at least one seed")
         self.target = target
@@ -338,7 +299,6 @@ class ParallelFuzzService:
             random.Random(mix_seeds(_BACKOFF_SALT, *self.seeds))
         self.clock = clock
         self.sleep = sleep
-        self.heartbeat_interval = heartbeat_interval
         # Pool workers run in subprocesses, so their events surface here
         # as typed "worker" records and merged profile/metric aggregates;
         # in-process sessions (processes=1) write into these sinks too.
@@ -442,7 +402,7 @@ class ParallelFuzzService:
 
     def _payload(self, job):
         return (job.worker_id, job.attempt, self.target, self.config,
-                job.seed, job.shared_corpus, self.heartbeat_interval)
+                job.seed, job.shared_corpus)
 
     def _reseed(self, job):
         """Stamp a retry with the merged shared corpus as it stands at
@@ -551,22 +511,16 @@ class ParallelFuzzService:
                 queue.append(retry)
 
     def _drain_start_reports(self, start_queue, waiting):
-        """Stamp start/pid and heartbeat times onto in-flight jobs."""
+        """Stamp execution start and pid onto in-flight jobs."""
         while True:
             try:
-                tag, worker_id, attempt, pid, stamp = \
-                    start_queue.get_nowait()
+                worker_id, attempt, pid, stamp = start_queue.get_nowait()
             except Empty:
                 return
             job = waiting.get((worker_id, attempt))
-            if job is None:
-                continue
-            if tag == "start":
+            if job is not None:
                 job.started = stamp
                 job.pid = pid
-            job.last_beat = stamp
-            if tag == "beat" and self.metrics is not None:
-                self.metrics.counter("parallel.heartbeats").inc()
 
     def _kill_job(self, job):
         if job.pid is not None:
@@ -693,14 +647,14 @@ def fuzz_parallel(target, config=None, seeds=(7, 13, 42, 99),
         tracer: Optional :class:`~repro.obs.tracer.Tracer` (parent-side:
             worker lifecycle becomes typed ``worker`` events).
         metrics: Optional :class:`~repro.obs.metrics.Metrics` counting
-            attempts, merged campaigns, heartbeats, deaths, backoff
-            delays, and merge/worker durations.
+            attempts, merged campaigns, deaths, backoff delays, and
+            merge/worker durations.
         session: Optional :class:`~repro.core.session.Session` making the
             run durable (per-unit checkpoints, graceful signals,
             ``--resume`` support).
         **supervision: Passed to :class:`ParallelFuzzService` —
             ``retry_backoff``, ``retry_backoff_cap``, ``backoff_rng``,
-            ``clock``, ``sleep``, ``heartbeat_interval``.
+            ``clock``, ``sleep``.
 
     Returns:
         A fresh merged :class:`~repro.core.engine.RunResult` whose

@@ -15,9 +15,7 @@ other interned ids from the same table.
 
 from .coverage import FeedbackCollector
 
-#: The per-campaign shared-access profile (address → load/store sites,
-#: tids, counts) is gathered by the campaign's one feedback collector;
-#: this name stays for callers that use it only as a profiler.
+#: Old profiler name of the one collector; pmbench/layertrace.py imports it.
 AccessProfiler = FeedbackCollector
 
 

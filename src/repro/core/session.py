@@ -3,8 +3,8 @@
 A long PMRace campaign must survive the same faults it hunts for: a
 SIGKILL anywhere in a run used to lose every in-flight result, the
 merged corpus, and the pending validation queue. This module gives a
-fuzzing run of the parallel service (which drives both ``repro fuzz``
-and ``fuzz-parallel``) a durable **session directory** with
+fuzzing run of the parallel service (which drives ``repro fuzz``, with
+or without ``--parallel``) a durable **session directory** with
 crash-consistency guarantees built from the same primitives the tool
 tests targets for:
 

@@ -22,7 +22,6 @@ from .validation_service import (
     ValidationQueue,
     fresh_target_factory,
     image_digest,
-    validate_records_parallel,
 )
 from .records import (
     BugReport,
@@ -62,7 +61,6 @@ __all__ = [
     "WriteRecorder",
     "fresh_target_factory",
     "image_digest",
-    "validate_records_parallel",
     "Whitelist",
     "DEFAULT_WHITELIST",
     "Verdict",

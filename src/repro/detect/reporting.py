@@ -4,7 +4,10 @@ The original tool writes a detailed report per inconsistency (stack
 traces + the seed that triggered it) and lets developers maintain the
 whitelist as a file of code locations. These helpers provide the same
 workflow: dump a RunResult's findings as JSON, and load/save whitelists
-as plain text (one location per line, ``#`` comments).
+as plain text (one location per line, ``#`` comments). Both files are
+written through :func:`repro.core.session.atomic_write_text`, the one
+durable-write path (imported per call: ``core.session`` imports
+``detect``).
 """
 
 import json
@@ -104,9 +107,8 @@ def dump_run_result(result, path):
             entry["digest"]
             for entry in getattr(result, "corpus_seeds", ())),
     }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-    return path
+    from ..core.session import atomic_write_text
+    return atomic_write_text(path, json.dumps(payload, indent=2))
 
 
 def load_run_report(path):
@@ -120,12 +122,11 @@ def load_run_report(path):
 
 def save_whitelist(whitelist, path):
     """Write a whitelist as text: one location per line."""
-    with open(path, "w") as handle:
-        handle.write("# PMRace whitelist: code locations whose reads of\n"
-                     "# non-persisted data are crash-consistent (§4.4).\n")
-        for entry in whitelist.entries:
-            handle.write(entry + "\n")
-    return path
+    from ..core.session import atomic_write_text
+    return atomic_write_text(
+        path, "# PMRace whitelist: code locations whose reads of\n"
+              "# non-persisted data are crash-consistent (§4.4).\n"
+        + "".join(entry + "\n" for entry in whitelist.entries))
 
 
 def load_whitelist(path, include_defaults=True):

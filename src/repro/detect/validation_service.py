@@ -28,21 +28,14 @@ crash images* instead of records:
   :meth:`~repro.detect.postfailure.PostFailureValidator.replay`: a
   step/time budget per replay, one retry on genuine crashes, and the
   exception text captured into ``record.note``.
-
-:func:`validate_records_parallel` spreads a batch of already-collected
-records over a worker-process pool (the ``repro validate --jobs N``
-path), partitioning by image digest so each unique image is replayed in
-exactly one worker.
 """
 
-import multiprocessing
 import zlib
 from collections import deque
 
 from ..obs.tracer import NULL_TRACER
 from ..pmem.memory import CrashImage
 from .postfailure import PostFailureValidator
-from .records import Verdict
 from .whitelist import Whitelist
 
 
@@ -92,9 +85,9 @@ def make_validation_queue(target_name, whitelist=None, tracer=None,
                           metrics=None):
     """A standalone cached :class:`ValidationQueue` for ``target_name``.
 
-    The replay/shrink tooling validates re-detected records outside any
-    engine instance; this builds the same validator + queue stack the
-    engine wires up, from just a registry target name.
+    ``repro validate`` and the replay/shrink tooling validate records
+    outside any engine instance; this builds the same validator + queue
+    stack the engine wires up, from just a registry target name.
     """
     from ..targets.registry import make_target
 
@@ -262,90 +255,3 @@ class ValidationQueue:
             "awaiting_image": len(self._awaiting_image),
         }
 
-
-# ----------------------------------------------------------------------
-# parallel record validation (`repro validate --jobs N`)
-
-
-def _validate_chunk(payload):
-    """Pool entry point: validate one chunk of records, never raise.
-
-    Returns ``(results, stats)`` where results are minimal
-    ``(index, verdict value, note)`` tuples — crash images are shipped
-    *to* workers but never back.
-    """
-    target_name, whitelist_entries, indexed_records, target_modules = \
-        payload
-    from ..targets.registry import load_target_modules
-
-    if target_modules:
-        # Re-register plugin targets in this worker interpreter before
-        # resolving the target by name.
-        load_target_modules(target_modules)
-    queue = make_validation_queue(target_name,
-                                  whitelist=Whitelist(whitelist_entries))
-    records = [record for _index, record in indexed_records]
-    for record in records:
-        queue.enqueue(record)
-    queue.drain()
-    results = [(index, record.verdict.value, record.note)
-               for (index, _), record in zip(indexed_records, records)]
-    return results, queue.stats()
-
-
-def validate_records_parallel(target_name, records, whitelist=None,
-                              jobs=2, tracer=None, metrics=None,
-                              target_modules=()):
-    """Validate ``records`` with a pool of ``jobs`` worker processes.
-
-    Records are partitioned by crash-image digest (imageless records
-    round-robin), so each unique image is replayed in exactly one
-    worker and the per-worker digest cache stays effective. Verdicts
-    and notes are copied back onto the caller's record objects; the
-    merged per-worker cache stats are returned as one dict. With one
-    job (or one record) everything runs in-process, and only there do
-    ``tracer`` events (drains, verdicts) reach the caller.
-    """
-    if jobs <= 1 or len(records) <= 1:
-        queue = make_validation_queue(target_name, whitelist=whitelist,
-                                      tracer=tracer, metrics=metrics)
-        for record in records:
-            queue.enqueue(record)
-        queue.drain()
-        return queue.stats()
-
-    entries = list((whitelist or Whitelist()).entries)
-    chunks = [[] for _ in range(jobs)]
-    assignment = {}
-    spill = 0
-    for index, record in enumerate(records):
-        if record.crash_image is None:
-            chunk = spill % jobs
-            spill += 1
-        else:
-            digest = image_digest(record.crash_image)
-            chunk = assignment.setdefault(digest, len(assignment) % jobs)
-        chunks[chunk].append((index, record))
-    payloads = [(target_name, entries, chunk, tuple(target_modules))
-                for chunk in chunks if chunk]
-    stats = {"validated": 0, "cache_hits": 0, "cache_misses": 0,
-             "unique_images": 0, "upgrades": 0, "awaiting_image": 0}
-    pool = multiprocessing.Pool(min(jobs, len(payloads)))
-    try:
-        for results, chunk_stats in pool.map(_validate_chunk, payloads):
-            for index, verdict_value, note in results:
-                records[index].verdict = Verdict(verdict_value)
-                records[index].note = note
-                if metrics is not None:
-                    metrics.counter("validate.verdict.%s"
-                                    % verdict_value).inc()
-            for key in stats:
-                stats[key] += chunk_stats[key]
-    finally:
-        pool.close()
-        pool.join()
-    if metrics is not None:
-        metrics.counter("validate.records").inc(stats["validated"])
-        metrics.counter("validate.cache.hits").inc(stats["cache_hits"])
-        metrics.counter("validate.cache.misses").inc(stats["cache_misses"])
-    return stats

@@ -10,8 +10,8 @@ inconsistency). See :mod:`repro.replay.bundle` for the format,
 for replay and :mod:`repro.replay.minimize` for ddmin shrinking.
 
 CLI surface: ``repro replay <bundle>`` and ``repro shrink <bundle>``;
-capture is switched on with ``--repro-dir`` on ``fuzz`` /
-``fuzz-parallel``.
+capture is switched on with ``--repro-dir`` on ``fuzz``, ``validate``
+and ``tables``.
 """
 
 import json

@@ -49,20 +49,34 @@ class TestParser:
 
     def test_fuzz_parallel_options(self):
         args = build_parser().parse_args(
-            ["fuzz-parallel", "P-CLHT", "--seeds", "1", "2",
-             "--processes", "2", "--worker-timeout", "30",
+            ["fuzz", "P-CLHT", "--seeds", "1", "2",
+             "--parallel", "2", "--worker-timeout", "30",
              "--max-retries", "2"])
-        assert args.command == "fuzz-parallel"
+        assert args.command == "fuzz"
         assert args.seeds == [1, 2]
-        assert args.processes == 2
+        assert args.parallel == 2
         assert args.worker_timeout == 30.0
         assert args.max_retries == 2
 
     def test_fuzz_parallel_defaults(self):
-        args = build_parser().parse_args(["fuzz-parallel", "CCEH"])
-        assert args.processes == 0
+        """In-process, no timeout, and no retries: a seed that raises
+        fails the run instead of being swapped for a derived one."""
+        args = build_parser().parse_args(["fuzz", "CCEH"])
+        assert args.parallel == 0
         assert args.worker_timeout is None
-        assert args.max_retries == 1
+        assert args.max_retries == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz-parallel", "P-CLHT"],
+        ["fuzz", "P-CLHT", "--processes", "2"],
+        ["validate", "P-CLHT", "--jobs", "2"],
+        ["validate", "P-CLHT", "--max-retries", "1"],
+        ["tables", "--worker-timeout", "30"],
+    ])
+    def test_retired_and_fuzz_only_options_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_observability_flags(self):
         args = build_parser().parse_args(
@@ -75,6 +89,7 @@ class TestParser:
         args = build_parser().parse_args(["validate", "P-CLHT"])
         assert args.command == "validate"
         assert not hasattr(args, "parallel")
+        assert not hasattr(args, "jobs")
         args = build_parser().parse_args(["stats", "trace.jsonl"])
         assert args.command == "stats"
         assert args.file == "trace.jsonl"
@@ -96,8 +111,10 @@ class TestCommands:
         code = main(["fuzz", "P-CLHT", "--campaigns", "10",
                      "--seeds", "7", "--output", str(report)])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "unique bugs" in out
+        captured = capsys.readouterr()
+        assert "unique bugs" in captured.out
+        assert "Workers" in captured.out  # one table, pool or not
+        assert "merged total" in captured.err
         payload = json.loads(report.read_text())
         assert payload["target"] == "P-CLHT"
         assert payload["campaigns"] == 10
@@ -110,8 +127,8 @@ class TestCommands:
 
     def test_fuzz_parallel_small_run(self, capsys, tmp_path):
         report = tmp_path / "out.json"
-        code = main(["fuzz-parallel", "P-CLHT", "--campaigns", "8",
-                     "--seeds", "7", "13", "--processes", "1",
+        code = main(["fuzz", "P-CLHT", "--campaigns", "8",
+                     "--seeds", "7", "13", "--parallel", "1",
                      "--output", str(report)])
         assert code == 0
         captured = capsys.readouterr()
@@ -125,11 +142,11 @@ class TestCommands:
 
     def test_fuzz_equals_inprocess_fuzz_parallel(self, capsys,
                                                  monkeypatch):
-        """``fuzz`` and ``fuzz-parallel --processes 1`` share one code path."""
-        flags = ["pmring", "--campaigns", "20", "--seeds", "7", "13"]
-        serial = _cli_result(monkeypatch, ["fuzz"] + flags)
-        pooled = _cli_result(monkeypatch, ["fuzz-parallel"] + flags
-                             + ["--processes", "1"])
+        """In-process ``fuzz`` and ``fuzz --parallel 2`` on a worker pool
+        find the same things: one engine session per seed either way."""
+        flags = ["fuzz", "pmring", "--campaigns", "20", "--seeds", "7", "13"]
+        serial = _cli_result(monkeypatch, flags)
+        pooled = _cli_result(monkeypatch, flags + ["--parallel", "2"])
         assert serial.campaigns == 40
         assert result_fingerprint(serial) == result_fingerprint(pooled)
 
@@ -149,7 +166,7 @@ class TestCommands:
         assert "RuntimeError: broken target" in err
 
     def test_fuzz_parallel_unknown_target(self, capsys):
-        assert main(["fuzz-parallel", "redis"]) == 2
+        assert main(["fuzz", "redis", "--parallel", "2"]) == 2
         assert "unknown target" in capsys.readouterr().err
 
     def test_fuzz_with_whitelist_file(self, capsys, tmp_path):

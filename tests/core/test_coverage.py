@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    AccessProfiler,
-    AliasCoverageCollector,
-    BranchCoverageCollector,
-    CoverageSet,
-    FeedbackCollector,
-)
+from repro.core import CoverageSet, FeedbackCollector
 from repro.instrument.events import (LOAD_CLEAN, LOAD_DIRTY, STORE_CLEAN,
                                     STORE_DIRTY, Observer, PmAccessEvent)
 from repro.pmem.cacheline import WORD_SHIFT
@@ -71,18 +65,18 @@ class TestCoverageSet:
 
 class TestBranchCoverage:
     def test_edges_per_thread(self):
-        collector = BranchCoverageCollector()
+        collector = FeedbackCollector()
         fold(collector, load(0, 0, "i1"))
         fold(collector, load(8, 0, "i2"))
         assert ("i1", "i2") in collector.edges
 
     def test_first_event_edge_from_none(self):
-        collector = BranchCoverageCollector()
+        collector = FeedbackCollector()
         fold(collector, load(0, 0, "i1"))
         assert (None, "i1") in collector.edges
 
     def test_threads_tracked_separately(self):
-        collector = BranchCoverageCollector()
+        collector = FeedbackCollector()
         fold(collector, load(0, 0, "i1"))
         fold(collector, load(0, 1, "i9"))
         fold(collector, load(8, 0, "i2"))
@@ -90,7 +84,7 @@ class TestBranchCoverage:
         assert ("i9", "i2") not in collector.edges
 
     def test_all_event_kinds_counted(self):
-        collector = BranchCoverageCollector()
+        collector = FeedbackCollector()
         fold(collector, store(0, 0, "s"))
         fold(collector, flush(0, 0, "f"), fence(0, "fe"))
         assert ("s", "f") in collector.edges
@@ -99,34 +93,34 @@ class TestBranchCoverage:
 
 class TestAliasCoverage:
     def test_cross_thread_pair(self):
-        collector = AliasCoverageCollector()
+        collector = FeedbackCollector()
         fold(collector, store(64, 0, "w"))
         fold(collector, load(64, 1, "r", dirty=True))
         assert ("w", "D", "r", "D") in collector.pairs
 
     def test_same_thread_no_pair(self):
-        collector = AliasCoverageCollector()
+        collector = FeedbackCollector()
         fold(collector, store(64, 0, "w"))
         fold(collector, load(64, 0, "r"))
         assert not collector.pairs
 
     def test_different_address_no_pair(self):
-        collector = AliasCoverageCollector()
+        collector = FeedbackCollector()
         fold(collector, store(64, 0, "w"))
         fold(collector, load(128, 1, "r"))
         assert not collector.pairs
 
     def test_persistency_state_distinguishes(self):
-        clean = AliasCoverageCollector()
+        clean = FeedbackCollector()
         fold(clean, store(64, 0, "w", nt=True))
         fold(clean, load(64, 1, "r", dirty=False))
-        dirty = AliasCoverageCollector()
+        dirty = FeedbackCollector()
         fold(dirty, store(64, 0, "w"))
         fold(dirty, load(64, 1, "r", dirty=True))
         assert clean.pairs != dirty.pairs
 
     def test_back_to_back_only(self):
-        collector = AliasCoverageCollector()
+        collector = FeedbackCollector()
         fold(collector, store(64, 0, "w"))
         fold(collector, load(64, 0, "mine"))   # interposes, same thread
         fold(collector, load(64, 1, "r"))
@@ -135,10 +129,10 @@ class TestAliasCoverage:
         assert all(pair[0] != "w" for pair in collector.pairs)
 
     def test_thread_ids_normalized_out(self):
-        a = AliasCoverageCollector()
+        a = FeedbackCollector()
         fold(a, store(64, 0, "w"))
         fold(a, load(64, 1, "r", dirty=True))
-        b = AliasCoverageCollector()
+        b = FeedbackCollector()
         fold(b, store(64, 3, "w"))
         fold(b, load(64, 2, "r", dirty=True))
         assert a.pairs == b.pairs
@@ -156,20 +150,20 @@ class TestAliasCoverageWordGranularity:
     def test_offset_store_aliases_covering_load(self):
         # store at byte 66 and load at byte 64 touch the same word even
         # though their start addresses differ.
-        collector = AliasCoverageCollector()
+        collector = FeedbackCollector()
         fold(collector, access("store", 66, 2, 0, "w"))
         fold(collector, access("load", 64, 8, 1, "r", dirty=True))
         assert ("w", "D", "r", "D") in collector.pairs
 
     def test_disjoint_bytes_same_word_alias(self):
         # byte ranges [64,68) and [68,72) are disjoint but share word 8
-        collector = AliasCoverageCollector()
+        collector = FeedbackCollector()
         fold(collector, access("store", 64, 4, 0, "w"))
         fold(collector, access("load", 68, 4, 1, "r", dirty=True))
         assert ("w", "D", "r", "D") in collector.pairs
 
     def test_multiword_store_pairs_with_each_word(self):
-        collector = AliasCoverageCollector()
+        collector = FeedbackCollector()
         fold(collector, access("store", 64, 16, 0, "w"))
         fold(collector, access("load", 64, 8, 1, "r1", dirty=True))
         fold(collector, access("load", 72, 8, 2, "r2", dirty=True))
@@ -177,13 +171,13 @@ class TestAliasCoverageWordGranularity:
         assert ("w", "D", "r2", "D") in collector.pairs
 
     def test_different_words_no_pair(self):
-        collector = AliasCoverageCollector()
+        collector = FeedbackCollector()
         fold(collector, access("store", 64, 8, 0, "w"))
         fold(collector, access("load", 72, 8, 1, "r", dirty=True))
         assert not collector.pairs
 
     def test_zero_size_access_ignored(self):
-        collector = AliasCoverageCollector()
+        collector = FeedbackCollector()
         fold(collector, access("store", 64, 8, 0, "w"))
         fold(collector, access("load", 64, 0, 1, "zero"))
         fold(collector, access("load", 64, 8, 1, "r", dirty=True))
@@ -324,6 +318,9 @@ def reference_feedback(events):
 
 class TestFeedbackCollector:
     def test_old_names_are_the_one_collector(self):
+        from repro.core.coverage import (AliasCoverageCollector,
+                                         BranchCoverageCollector)
+        from repro.core.priority import AccessProfiler
         assert BranchCoverageCollector is FeedbackCollector
         assert AliasCoverageCollector is FeedbackCollector
         assert AccessProfiler is FeedbackCollector

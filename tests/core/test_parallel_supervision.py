@@ -1,4 +1,4 @@
-"""Worker supervision: retry backoff, heartbeats, death detection, and
+"""Worker supervision: retry backoff, death detection, and
 session-backed attempt ledgers.
 
 The backoff tests inject a fake clock/sleep and a pinned jitter RNG so
@@ -54,18 +54,6 @@ class SuicideFactory:
             # pins the detected-death path, not the lost-report race.
             time.sleep(0.1)
             os.kill(os.getpid(), signal.SIGKILL)
-        return ToyTarget()
-
-
-class SlowStartFactory:
-    """Holds the worker in 'running but silent' state long enough for
-    several heartbeats before the session starts."""
-
-    def __init__(self, delay):
-        self.delay = delay
-
-    def __call__(self):
-        time.sleep(self.delay)
         return ToyTarget()
 
 
@@ -174,16 +162,6 @@ class TestDeadWorkerSupervision:
         assert "died without reporting" in result.worker_stats[0].error
         assert metrics.counter("parallel.workers_died").value == 1
         assert result.campaigns > 0
-
-    def test_heartbeats_reach_the_parent(self, tmp_path):
-        """A slow-but-alive worker beats while silent; the parent counts
-        the beats (the liveness signal distinguishing slow from dead)."""
-        metrics = Metrics()
-        result = fuzz_parallel(
-            SlowStartFactory(0.5), small_config(), seeds=(7,),
-            processes=2, metrics=metrics, heartbeat_interval=0.05)
-        assert [s.status for s in result.worker_stats] == ["ok"]
-        assert metrics.counter("parallel.heartbeats").value > 0
 
 
 class TestSessionRetryLedger:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AccessProfiler, SharedAccessQueue
+from repro.core import FeedbackCollector, SharedAccessQueue
 from repro.instrument.events import LOAD_CLEAN, STORE_DIRTY
 
 
@@ -12,7 +12,7 @@ def feed(profiler, kind, addr, tid, instr, times=1):
 
 
 def shared_profile(addr=64, freq=1):
-    profiler = AccessProfiler()
+    profiler = FeedbackCollector()
     feed(profiler, "load", addr, 0, "r1", times=freq)
     feed(profiler, "store", addr, 1, "w1", times=freq)
     return profiler
@@ -39,7 +39,7 @@ class TestQueue:
         assert entry.store_instrs == frozenset({"w1"})
 
     def test_single_thread_rejected(self):
-        profiler = AccessProfiler()
+        profiler = FeedbackCollector()
         feed(profiler, "load", 64, 0, "r1")
         feed(profiler, "store", 64, 0, "w1")
         queue = SharedAccessQueue()
@@ -47,7 +47,7 @@ class TestQueue:
         assert len(queue) == 0
 
     def test_loads_only_rejected(self):
-        profiler = AccessProfiler()
+        profiler = FeedbackCollector()
         feed(profiler, "load", 64, 0, "r1")
         feed(profiler, "load", 64, 1, "r2")
         queue = SharedAccessQueue()
@@ -57,7 +57,7 @@ class TestQueue:
     def test_frequency_priority(self):
         queue = SharedAccessQueue()
         queue.update_from(shared_profile(addr=64, freq=1))
-        profiler = AccessProfiler()
+        profiler = FeedbackCollector()
         feed(profiler, "load", 128, 0, "r-other", times=10)
         feed(profiler, "store", 128, 1, "w-other", times=10)
         queue.update_from(profiler)
@@ -93,7 +93,7 @@ class TestQueue:
         # the same store merges its reader sites into the group.
         queue = SharedAccessQueue()
         queue.update_from(shared_profile(freq=2))
-        profiler = AccessProfiler()
+        profiler = FeedbackCollector()
         feed(profiler, "load", 128, 2, "r2")
         feed(profiler, "store", 128, 3, "w1")
         queue.update_from(profiler)
@@ -105,7 +105,7 @@ class TestQueue:
     def test_different_stores_stay_separate(self):
         queue = SharedAccessQueue()
         queue.update_from(shared_profile(freq=2))
-        profiler = AccessProfiler()
+        profiler = FeedbackCollector()
         feed(profiler, "load", 64, 2, "r2")
         feed(profiler, "store", 64, 3, "w2")
         queue.update_from(profiler)
@@ -114,7 +114,7 @@ class TestQueue:
     def test_representative_addr_is_most_frequent(self):
         queue = SharedAccessQueue()
         queue.update_from(shared_profile(addr=64, freq=1))
-        profiler = AccessProfiler()
+        profiler = FeedbackCollector()
         feed(profiler, "load", 256, 0, "r1", times=9)
         feed(profiler, "store", 256, 1, "w1", times=9)
         queue.update_from(profiler)

@@ -1,6 +1,7 @@
 """Report serialization and whitelist file I/O tests."""
 
 import json
+import os
 
 import pytest
 
@@ -107,3 +108,36 @@ class TestWhitelistFiles:
         path.write_text("x:y\nx:y\n")
         loaded = load_whitelist(str(path), include_defaults=False)
         assert loaded.entries == ["x:y"]
+
+
+@pytest.fixture
+def fsynced(monkeypatch):
+    """Inode numbers of every file descriptor passed to ``os.fsync``."""
+    synced = set()
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        synced.add(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return synced
+
+
+class TestDurableWrites:
+    """Reports and whitelists survive power loss like every other
+    artifact: the file contents and the directory entry naming the file
+    are both fsync'd."""
+
+    def test_run_report_fsyncs_file_and_directory(self, result, tmp_path,
+                                                  fsynced):
+        path = dump_run_result(result, str(tmp_path / "report.json"))
+        assert os.stat(path).st_ino in fsynced
+        assert os.stat(str(tmp_path)).st_ino in fsynced
+        assert load_run_report(path)["campaigns"] == result.campaigns
+
+    def test_whitelist_fsyncs_file_and_directory(self, tmp_path, fsynced):
+        path = save_whitelist(Whitelist(["a:b"]), str(tmp_path / "wl.txt"))
+        assert os.stat(path).st_ino in fsynced
+        assert os.stat(str(tmp_path)).st_ino in fsynced
+        assert sorted(os.listdir(str(tmp_path))) == ["wl.txt"]

@@ -6,8 +6,6 @@ hand-built cases and a seeded Hypothesis property over randomized crash
 images.
 """
 
-import multiprocessing
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +17,8 @@ from repro.detect import (
     Verdict,
     fresh_target_factory,
     image_digest,
-    validate_records_parallel,
 )
+from repro.detect.validation_service import make_validation_queue
 from repro.detect.records import (
     CandidateRecord,
     InconsistencyRecord,
@@ -433,7 +431,9 @@ class TestMergeUpgrades:
         assert merged.verdict_upgrades == 0
 
 
-class TestParallelValidation:
+class TestMakeValidationQueue:
+    """The standalone queue ``repro validate`` drains, built by name."""
+
     def build_records(self):
         images = [make_image(1), make_image(2)]
         records = []
@@ -451,31 +451,23 @@ class TestParallelValidation:
                 else Verdict.PENDING if r.crash_image is None
                 else Verdict.BUG for r in records]
 
-    def test_single_job_fallback(self):
+    def test_verdicts_per_record(self):
         records = self.build_records()
-        stats = validate_records_parallel("mini-vs", records, jobs=1)
+        queue = make_validation_queue("mini-vs")
+        for record in records:
+            queue.enqueue(record)
+        queue.drain()
+        stats = queue.stats()
         assert [r.verdict for r in records] == \
             self.expected_verdicts(records)
         assert stats["validated"] == len(records)
-        assert stats["unique_images"] == 2
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="worker registry patch relies on fork inheritance")
-    def test_two_jobs_match_inline(self):
-        records = self.build_records()
-        stats = validate_records_parallel("mini-vs", records, jobs=2)
-        assert [r.verdict for r in records] == \
-            self.expected_verdicts(records)
-        assert stats["validated"] == len(records)
-        # Digest partitioning: each unique image replayed in one worker.
         assert stats["unique_images"] == 2
 
 
 @pytest.fixture(autouse=True)
 def _register_mini_target():
     """Expose MiniTarget to the registry under 'mini-vs' so the
-    validate-by-name paths (and forked workers) can rebuild it."""
+    validate-by-name path can rebuild it."""
     from repro.targets import Target, register_target, unregister_target
 
     class MiniVs(MiniTarget, Target):

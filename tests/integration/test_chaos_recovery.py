@@ -41,14 +41,14 @@ def _env(fault=None):
     return env
 
 
-def _cmd(command, session_dir, resume=False, campaigns=8,
-         seeds=(7, 13), processes=1):
-    cmd = [sys.executable, "-m", "repro", command, "pmring",
+def _cmd(session_dir, resume=False, campaigns=8, seeds=(7, 13),
+         parallel=1):
+    """``repro fuzz`` on pmring; ``parallel=0`` makes a serial session,
+    any other value a parallel one (1 runs it in-process)."""
+    cmd = [sys.executable, "-m", "repro", "fuzz", "pmring",
            "--campaigns", str(campaigns), "--seeds"]
     cmd += [str(seed) for seed in seeds]
-    cmd += ["--session-dir", str(session_dir)]
-    if command == "fuzz-parallel":
-        cmd += ["--processes", str(processes)]
+    cmd += ["--session-dir", str(session_dir), "--parallel", str(parallel)]
     if resume:
         cmd.append("--resume")
     return cmd
@@ -68,9 +68,9 @@ def _fingerprint(session_dir):
                                               PMRaceConfig()))
 
 
-def _golden(tmp_path, command="fuzz-parallel", **kwargs):
+def _golden(tmp_path, **kwargs):
     golden_dir = tmp_path / "golden"
-    proc = _run(_cmd(command, golden_dir, **kwargs))
+    proc = _run(_cmd(golden_dir, **kwargs))
     assert proc.returncode == 0, proc.stderr
     return _fingerprint(golden_dir)
 
@@ -86,19 +86,19 @@ class TestFaultPointKillResume:
     def test_parallel_kill_resume_equivalence(self, tmp_path, fault):
         golden = _golden(tmp_path)
         chaos_dir = tmp_path / "chaos"
-        killed = _run(_cmd("fuzz-parallel", chaos_dir), fault=fault)
+        killed = _run(_cmd(chaos_dir), fault=fault)
         assert killed.returncode == -signal.SIGKILL
-        resumed = _run(_cmd("fuzz-parallel", chaos_dir, resume=True))
+        resumed = _run(_cmd(chaos_dir, resume=True))
         assert resumed.returncode == 0, resumed.stderr
         assert _fingerprint(chaos_dir) == golden
 
     def test_serial_fuzz_kill_resume_equivalence(self, tmp_path):
-        golden = _golden(tmp_path, command="fuzz")
+        golden = _golden(tmp_path, parallel=0)
         chaos_dir = tmp_path / "chaos"
-        killed = _run(_cmd("fuzz", chaos_dir),
+        killed = _run(_cmd(chaos_dir, parallel=0),
                       fault="checkpoint_write:kill:1")
         assert killed.returncode == -signal.SIGKILL
-        resumed = _run(_cmd("fuzz", chaos_dir, resume=True))
+        resumed = _run(_cmd(chaos_dir, resume=True, parallel=0))
         assert resumed.returncode == 0, resumed.stderr
         assert _fingerprint(chaos_dir) == golden
 
@@ -106,33 +106,33 @@ class TestFaultPointKillResume:
         """A resume that is itself killed still converges."""
         golden = _golden(tmp_path)
         chaos_dir = tmp_path / "chaos"
-        first = _run(_cmd("fuzz-parallel", chaos_dir),
+        first = _run(_cmd(chaos_dir),
                      fault="journal_append:kill:2")
         assert first.returncode == -signal.SIGKILL
-        second = _run(_cmd("fuzz-parallel", chaos_dir, resume=True),
+        second = _run(_cmd(chaos_dir, resume=True),
                       fault="checkpoint_write:kill:1")
         assert second.returncode == -signal.SIGKILL
-        final = _run(_cmd("fuzz-parallel", chaos_dir, resume=True))
+        final = _run(_cmd(chaos_dir, resume=True))
         assert final.returncode == 0, final.stderr
         assert _fingerprint(chaos_dir) == golden
 
     def test_resume_without_flag_is_refused(self, tmp_path):
         session_dir = tmp_path / "session"
-        assert _run(_cmd("fuzz-parallel", session_dir)).returncode == 0
-        again = _run(_cmd("fuzz-parallel", session_dir))
+        assert _run(_cmd(session_dir)).returncode == 0
+        again = _run(_cmd(session_dir))
         assert again.returncode == 2
         assert "--resume" in again.stderr
 
 
-def _interrupt_run(tmp_path, signum, command="fuzz-parallel"):
+def _interrupt_run(tmp_path, signum, parallel=1):
     """Start a long session run, signal it mid-flight, return
     (returncode, session_dir)."""
     session_dir = tmp_path / "session"
     # pmring saturates its schedules quickly, so run length is driven by
     # the seed count (one ~0.5s engine session each), not campaigns.
     proc = subprocess.Popen(
-        _cmd(command, session_dir, campaigns=3000,
-             seeds=tuple(range(1, 13))),
+        _cmd(session_dir, campaigns=3000, seeds=tuple(range(1, 13)),
+             parallel=parallel),
         env=_env(), stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL)
     journal = session_dir / "journal.jsonl"
@@ -174,7 +174,7 @@ class TestSignalCheckpoint:
     @pytest.mark.slow
     def test_sigint_during_serial_run(self, tmp_path):
         code, session_dir = _interrupt_run(tmp_path, signal.SIGINT,
-                                           command="fuzz")
+                                           parallel=0)
         assert code == 128 + signal.SIGINT
         _assert_interrupted_checkpoint(session_dir, signal.SIGINT)
 

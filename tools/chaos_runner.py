@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Chaos harness: SIGKILL real fuzzing runs, resume them, assert parity.
 
-This is the session layer's self-test: it runs a real ``repro fuzz`` /
-``fuzz-parallel`` command to completion (the *golden* run), then runs the
+This is the session layer's self-test: it runs a real ``repro fuzz``
+command to completion (the *golden* run), then runs the
 same command again while killing it — either at deterministic session
 write boundaries via the ``REPRO_FAULT_POINT`` fault injector
 (``--mode fault``) or at a randomized wall-clock moment with a
@@ -59,12 +59,10 @@ FAULT_SITES = (
 
 
 def _repro_cmd(args, session_dir, resume=False):
-    cmd = [sys.executable, "-m", "repro", args.command, args.target,
+    cmd = [sys.executable, "-m", "repro", "fuzz", args.target,
            "--campaigns", str(args.campaigns),
            "--seeds"] + [str(seed) for seed in args.seeds] + \
-          ["--session-dir", session_dir]
-    if args.command == "fuzz-parallel":
-        cmd += ["--processes", str(args.processes)]
+          ["--session-dir", session_dir, "--parallel", str(args.processes)]
     if resume:
         cmd.append("--resume")
     return cmd
@@ -167,14 +165,13 @@ def run_chaos(args, session_dir, rng):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--target", default="pmring")
-    parser.add_argument("--command", default="fuzz-parallel",
-                        choices=("fuzz", "fuzz-parallel"))
     parser.add_argument("--campaigns", type=int, default=8)
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 13])
     parser.add_argument("--processes", type=int, default=1,
-                        help="fuzz-parallel pool size (1 = in-process, "
-                             "required for deterministic fault-point "
-                             "kills)")
+                        help="passed as fuzz --parallel: 0 runs a "
+                             "serial session, 1 an in-process parallel "
+                             "one (both needed for deterministic "
+                             "fault-point kills), 2+ a worker pool")
     parser.add_argument("--kills", type=int, default=4,
                         help="SIGKILLs to attempt before letting the run "
                              "finish (default 4)")
