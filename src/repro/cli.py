@@ -149,20 +149,17 @@ def _open_session(args, target, kind, config, tracer=None, metrics=None):
 
 def _fuzz_exit(result, args):
     """The fuzz commands' exit code: 128+signum when a session run was
-    interrupted (checkpointed and resumable), 1 when a worker exhausted
-    its retry budget, else 0."""
-    max_retries = getattr(args, "max_retries", 0)
+    interrupted (checkpointed and resumable), 1 when a worker failed,
+    timed out or died, else 0."""
     if result.interrupted is not None:
         print("\ninterrupted by signal %d — session checkpointed to %s; "
               "rerun with --resume to continue"
               % (result.interrupted, args.session_dir), file=sys.stderr)
         return 128 + result.interrupted
-    exhausted = [s for s in result.worker_stats
-                 if s.status != "ok" and s.attempt >= max_retries]
-    if exhausted:
-        print("\n%d worker attempt(s) failed with no retry budget left"
-              % len(exhausted), file=sys.stderr)
-        for stats in exhausted:
+    failed = [s for s in result.worker_stats if s.status != "ok"]
+    if failed:
+        print("\n%d worker(s) failed" % len(failed), file=sys.stderr)
+        for stats in failed:
             print("  worker %d seed %d: %s"
                   % (stats.worker_id, stats.seed,
                      (stats.error or stats.status).strip().splitlines()[-1]),
@@ -174,14 +171,13 @@ def _fuzz_exit(result, args):
 def _fuzz_one(name, args, config=None, tracer=None, metrics=None,
               session=None, progress=None):
     """Fuzz ``name`` once per ``--seeds`` entry: in-process, or on a pool
-    of ``--parallel N`` workers. Only ``fuzz`` takes ``--worker-timeout``
-    and ``--max-retries``; elsewhere a seed that raises is not retried."""
+    of ``--parallel N`` workers. Only ``fuzz`` takes ``--worker-timeout``;
+    a seed that raises is reported, never retried."""
     return fuzz_parallel(name, config or _make_config(args),
                          seeds=tuple(args.seeds),
                          processes=getattr(args, "parallel", 0) or 1,
                          worker_timeout=getattr(args, "worker_timeout",
                                                 None),
-                         max_retries=getattr(args, "max_retries", 0),
                          progress=progress, tracer=tracer, metrics=metrics,
                          session=session)
 
@@ -249,13 +245,9 @@ def cmd_fuzz(args):
         return 2
 
     def progress(stats, merged):
-        note = "" if stats.status == "ok" else \
-            " (%s, retry budget %d)" % (stats.status,
-                                        args.max_retries - stats.attempt)
-        print("worker %d seed %d attempt %d: %s — %d campaigns, "
-              "merged total %d%s"
-              % (stats.worker_id, stats.seed, stats.attempt, stats.status,
-                 stats.campaigns, merged.campaigns, note), file=sys.stderr)
+        print("worker %d seed %d: %s — %d campaigns, merged total %d"
+              % (stats.worker_id, stats.seed, stats.status,
+                 stats.campaigns, merged.campaigns), file=sys.stderr)
 
     tracer, metrics = _make_obs(args)
     config = _make_config(args)
@@ -478,19 +470,16 @@ def build_parser():
     _add_fuzz_options(fuzz)
     fuzz.add_argument("--worker-timeout", type=float, metavar="SECONDS",
                       default=None,
-                      help="with --parallel: write off a worker as hung "
-                           "after this long")
-    fuzz.add_argument("--max-retries", type=int, default=0,
-                      help="retries per failed seed, fresh seed each "
-                           "(default 0)")
+                      help="with --parallel 2 or more: write off a "
+                           "worker as hung after this long")
     fuzz.add_argument("--session-dir", metavar="DIR", dest="session_dir",
                       help="make the run durable: journal + checkpoint "
                            "every completed work unit here so a killed "
                            "run can continue (see docs/SESSIONS.md)")
     fuzz.add_argument("--resume", action="store_true",
                       help="continue the session in --session-dir: skip "
-                           "finished work units, keep retry budgets, "
-                           "re-validate pending records")
+                           "finished work units, re-validate pending "
+                           "records")
 
     validate = sub.add_parser(
         "validate",
@@ -567,6 +556,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if getattr(args, "worker_timeout", None) is not None and \
+            args.parallel < 2:
+        # In-process workers run on the caller's thread: nothing could
+        # observe a hang, let alone kill it.
+        print("--worker-timeout needs --parallel 2 or more",
+              file=sys.stderr)
+        raise SystemExit(2)
     try:
         loaded = load_target_modules(getattr(args, "target_modules", ()))
     except TargetModuleError as exc:

@@ -21,7 +21,7 @@ from .engine import HangRecord, PMRace, PMRaceConfig, RunResult
 from .inputgen import AflByteMutator, OperationMutator, Seed
 from .parallel import ParallelFuzzService, WorkerStats, fuzz_parallel
 from .priority import SharedAccessEntry, SharedAccessQueue
-from .seeding import mix_seeds, policy_seed, retry_seed
+from .seeding import mix_seeds, policy_seed
 from .session import (
     FaultInjector,
     Session,
@@ -53,7 +53,6 @@ __all__ = [
     "WorkerStats",
     "mix_seeds",
     "policy_seed",
-    "retry_seed",
     "Session",
     "SessionError",
     "SessionInterrupted",

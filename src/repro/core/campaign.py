@@ -45,7 +45,7 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
                  snapshot_images=True, capture_stacks=True,
                  max_steps=30_000, spin_hang_limit=400, extra_observers=(),
                  metrics=None, callsites=None, evict_fraction=0.0,
-                 evict_rng=None, scheduler_factory=None, carriers=None):
+                 evict_rng=None, carriers=None):
     """Execute one campaign; returns a :class:`CampaignResult`.
 
     Args:
@@ -70,10 +70,6 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
             applied to the checker's crash images.
         evict_rng: Campaign RNG for eviction sampling (from the engine so
             eviction patterns follow the campaign seed).
-        scheduler_factory: Scheduler class (or factory with the same
-            signature); :class:`~repro.replay.ReplayScheduler` replays
-            recorded campaigns through this hook. Defaults to
-            :class:`~repro.runtime.scheduler.Scheduler`.
     """
     ctx = InstrumentationContext(annotations=state.annotations,
                                  taint_enabled=taint_enabled,
@@ -85,9 +81,9 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
         evict_fraction=evict_fraction, evict_rng=evict_rng))
     for observer in extra_observers:
         ctx.add_observer(observer)
-    scheduler = (scheduler_factory or Scheduler)(
-        policy, max_steps=max_steps, spin_hang_limit=spin_hang_limit,
-        metrics=metrics, carriers=carriers)
+    scheduler = Scheduler(policy, max_steps=max_steps,
+                          spin_hang_limit=spin_hang_limit, metrics=metrics,
+                          carriers=carriers)
     view = PmView(state.pool, scheduler, ctx)
     controller = None
     if entry is not None:

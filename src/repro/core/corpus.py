@@ -221,31 +221,6 @@ class Corpus:
         self._size_gauge()
         return entry
 
-    def add_exported(self, data):
-        """Adopt one exported entry (cross-worker sharing); pinned.
-
-        ``data`` is the plain-JSON shape produced by :meth:`export` /
-        ``RunResult.corpus_seeds``.  Invalid documents are counted in
-        :attr:`load_errors` and skipped.
-        """
-        try:
-            entry = SeedEntry.from_jsonable(data)
-        except (CorpusError, ValueError, TypeError):
-            self.load_errors += 1
-            return None
-        existing = self._by_digest.get(entry.digest)
-        if existing is not None:
-            return existing
-        entry.initial = True
-        entry.order = self._next_order
-        self._next_order += 1
-        self._entries.append(entry)
-        self._by_digest[entry.digest] = entry
-        self._persist(entry)
-        self._count("corpus.shared")
-        self._size_gauge()
-        return entry
-
     def next_entry(self, mutator, seed_index):
         """The seed to fuzz next: a not-yet-visited retained entry, or a
         provisional evolved child of an energy-selected parent.
@@ -389,8 +364,8 @@ class Corpus:
         return len(loaded)
 
     def export(self):
-        """Plain-JSON snapshot of the retained corpus (cross-worker
-        sharing via ``RunResult.corpus_seeds``; also what persistence
+        """Plain-JSON snapshot of the retained corpus (merged across
+        workers as ``RunResult.corpus_seeds``; also what persistence
         writes per seed)."""
         return [entry.to_jsonable() for entry in self._entries
                 if entry.digest in self._by_digest]

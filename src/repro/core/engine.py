@@ -68,7 +68,7 @@ class PMRaceConfig:
                  writer_waiting=150, max_steps=30_000, spin_hang_limit=400,
                  coverage_feedback="both", base_seed=0, whitelist=None,
                  eadr=False, evict_fraction=0.0, capture_repro=False,
-                 corpus_dir=None, initial_corpus=None, target_modules=()):
+                 corpus_dir=None, target_modules=()):
         self.mode = mode
         self.n_threads = n_threads
         self.ops_per_thread = ops_per_thread
@@ -105,10 +105,6 @@ class PMRaceConfig:
         #: retained seed, written atomically): loaded on start, so a
         #: killed run resumes with its retained corpus.
         self.corpus_dir = corpus_dir
-        #: Exported corpus entries (``RunResult.corpus_seeds`` shape) to
-        #: adopt before fuzzing — how the parallel service re-seeds a
-        #: retried worker from the already-merged shared corpus.
-        self.initial_corpus = initial_corpus
         #: Plugin modules (``--target-module`` specs) to import before
         #: resolving targets by name. Carried in the config so worker
         #: *processes* (``repro fuzz --parallel N``) can re-register
@@ -158,8 +154,7 @@ class RunResult:
         self.worker_stats = []
         #: Exported retained corpus (plain-JSON ``SeedEntry`` documents,
         #: :meth:`repro.core.corpus.Corpus.export`); :meth:`merge` folds
-        #: sessions together by content digest so the parallel service
-        #: can re-seed retried workers from the shared corpus.
+        #: sessions together by content digest.
         self.corpus_seeds = []
         #: PENDING records upgraded during :meth:`merge` by adopting a
         #: dedup-equal duplicate's verdict (cross-session re-validation).
@@ -411,8 +406,6 @@ class PMRace:
         corpus.load()
         corpus.add_initial(mutator.populate_seed())
         corpus.add_initial(mutator.initial_seed())
-        for exported in cfg.initial_corpus or ():
-            corpus.add_exported(exported)
         self._branch_cov = CoverageSet(self.metrics, "coverage.branch")
         self._alias_cov = CoverageSet(self.metrics, "coverage.alias")
         self._campaign_counter = None if self.metrics is None else \

@@ -17,32 +17,21 @@ matrix run), with the guarantees a long campaign needs:
   (SIGKILLed, OOM-killed — detected by supervising the pid it reported
   at pickup, since ``multiprocessing.Pool`` never completes the result
   handle of a killed worker) does not abort the run: the failure is
-  recorded and the session is retried up to ``max_retries`` times under
-  a fresh seed derived with the stable mixer
-  (:func:`repro.core.seeding.retry_seed`).
-* **Retry backoff** — failed attempts are redispatched after capped
-  exponential backoff with seeded jitter, not immediately; a
-  deterministically-crashing seed no longer burns its whole retry
-  budget in milliseconds.  The clock and sleep are injectable so tests
-  assert the schedule without real waiting.
+  recorded once, under the seed the worker was given, and the other
+  workers carry on.  No seed is ever swapped for one nobody named.
 * **Supervision** — each worker reports its pid and execution-start
   stamp when it picks a job up; the parent times jobs out from that
   stamp and uses the pid for liveness checks and targeted kills.
-* **Corpus sharing** — each worker's retained seed corpus
-  (``RunResult.corpus_seeds``) is folded into the merged result by
-  content digest, and retried sessions start from the merged shared
-  corpus (``PMRaceConfig.initial_corpus``) instead of from scratch.
 * **Durability** — pass a :class:`~repro.core.session.Session` and every
-  completed work unit is checkpointed (checkpoint first, journal line
-  second), SIGINT/SIGTERM stop dispatch and write a final checkpoint,
-  and a resumed session skips finished workers and *continues* attempt
-  counts from the journal's retry ledger instead of resetting them.
+  finished work unit, failed or not, is checkpointed (checkpoint first,
+  journal line second), SIGINT/SIGTERM stop dispatch and write a final
+  checkpoint, and a resumed session skips every finished worker.
 * **Isolation** — each worker fuzzes a deep copy of the base config, so a
   caller-supplied mutable member (the :class:`~repro.detect.whitelist.
   Whitelist` in particular) is never shared between sessions, even on the
   ``processes=1`` in-process path.
-* **Accounting** — every attempt (successful, failed, retried, died)
-  leaves a :class:`WorkerStats` entry on ``merged.worker_stats``.
+* **Accounting** — every worker (successful, failed, timed out, died)
+  leaves one :class:`WorkerStats` entry on ``merged.worker_stats``.
 
 Targets are passed by registry name (or any picklable zero-argument
 factory) so workers can reconstruct them.
@@ -51,7 +40,6 @@ factory) so workers can reconstruct them.
 import copy
 import multiprocessing
 import os
-import random
 import signal
 import time
 import traceback
@@ -60,18 +48,13 @@ from queue import Empty
 from ..obs.tracer import NULL_TRACER
 from ..targets.registry import make_target
 from .engine import PMRace, PMRaceConfig, RunResult
-from .seeding import mix_seeds, retry_seed
 from .session import SessionInterrupted, SignalGuard
 
 #: Seconds between completion polls of in-flight pool jobs.
 _POLL_INTERVAL = 0.02
 
-#: Salt for the retry-backoff jitter stream (distinct from RETRY_SALT so
-#: backoff draws never correlate with retry seed derivation).
-_BACKOFF_SALT = 0xB0FF
-
 #: Worker-side report queue, installed by the pool initializer.  Workers
-#: send a ``(worker_id, attempt, pid, monotonic_stamp)`` start report the
+#: send a ``(worker_id, pid, monotonic_stamp)`` start report the
 #: moment they pick a job up, so the parent can (a) start the timeout
 #: clock at *execution* start rather than submission and (b) SIGKILL the
 #: exact process running a hung job.
@@ -84,31 +67,25 @@ def _pool_worker_init(queue):
 
 
 class WorkerStats:
-    """Statistics for one worker attempt (one engine session).
+    """Statistics for one worker (one engine session).
 
     Attributes:
         worker_id: Stable index of the logical worker (one per seed).
-        seed: The base seed this attempt fuzzed with (retries get a
-            fresh seed, so it can differ from the original).
-        attempt: 0 for the first try, 1.. for retries.
+        seed: The base seed this worker fuzzed with.
         status: ``"ok"``, ``"failed"``, ``"timeout"`` or ``"died"``
             (the worker process vanished without delivering a result).
         campaigns / duration / execs_per_sec: Session statistics
-            (zero when the attempt did not produce a result).
-        corpus_seeded: Shared-corpus entries this attempt started from
-            (non-zero only for retries re-seeded from the merged run).
+            (zero when the worker did not produce a result).
         error: Formatted traceback (or timeout/death note) for failures.
     """
 
-    def __init__(self, worker_id, seed, attempt=0):
+    def __init__(self, worker_id, seed):
         self.worker_id = worker_id
         self.seed = seed
-        self.attempt = attempt
         self.status = "ok"
         self.campaigns = 0
         self.duration = 0.0
         self.execs_per_sec = 0.0
-        self.corpus_seeded = 0
         self.error = None
 
     def record(self, result):
@@ -127,62 +104,45 @@ class WorkerStats:
         return {
             "worker_id": self.worker_id,
             "seed": self.seed,
-            "attempt": self.attempt,
             "status": self.status,
             "campaigns": self.campaigns,
             "duration_s": round(self.duration, 3),
             "execs_per_sec": round(self.execs_per_sec, 2),
-            "corpus_seeded": self.corpus_seeded,
             "error": self.error,
         }
 
     @classmethod
     def from_dict(cls, doc):
         """Rebuild from :meth:`to_dict` output (session checkpoints)."""
-        stats = cls(doc["worker_id"], doc["seed"], doc.get("attempt", 0))
+        stats = cls(doc["worker_id"], doc["seed"])
         stats.status = doc.get("status", "ok")
         stats.campaigns = doc.get("campaigns", 0)
         stats.duration = doc.get("duration_s", 0.0)
         stats.execs_per_sec = doc.get("execs_per_sec", 0.0)
-        stats.corpus_seeded = doc.get("corpus_seeded", 0)
         stats.error = doc.get("error")
         return stats
 
     def __repr__(self):
-        return "<WorkerStats #%d seed=%d attempt=%d %s>" % (
-            self.worker_id, self.seed, self.attempt, self.status)
+        return "<WorkerStats #%d seed=%d %s>" % (
+            self.worker_id, self.seed, self.status)
 
 
 class _Job:
-    """One scheduled attempt: which worker, which seed, which try.
+    """One scheduled worker: which worker, which seed.
 
     ``started``/``pid`` arrive from the worker's start report; a job
     that never reported is still queued behind busy pool slots and must
-    not be timed out.  ``not_before`` is the earliest dispatch time
-    (retry backoff); ``shared_corpus`` carries exported corpus entries
-    (``RunResult.corpus_seeds``) a retry starts from.
+    not be timed out.
     """
 
-    def __init__(self, worker_id, seed, attempt=0, shared_corpus=None):
+    def __init__(self, worker_id, seed):
         self.worker_id = worker_id
         self.seed = seed
-        self.attempt = attempt
-        self.shared_corpus = shared_corpus
         self.started = None
         self.pid = None
-        self.not_before = 0.0
-
-    @property
-    def key(self):
-        return (self.worker_id, self.attempt)
-
-    def retry(self, shared_corpus=None):
-        next_attempt = self.attempt + 1
-        return _Job(self.worker_id, retry_seed(self.seed, next_attempt),
-                    next_attempt, shared_corpus=shared_corpus)
 
 
-def _session_config(config, seed, shared_corpus=None):
+def _session_config(config, seed):
     """A per-worker deep copy of ``config`` with its own base seed.
 
     Deep copy (not ``copy.copy``) so mutable members — the whitelist's
@@ -192,8 +152,6 @@ def _session_config(config, seed, shared_corpus=None):
     """
     cfg = copy.deepcopy(config) if config is not None else PMRaceConfig()
     cfg.base_seed = seed
-    if shared_corpus:
-        cfg.initial_corpus = list(shared_corpus)
     return cfg
 
 
@@ -211,12 +169,11 @@ def _run_worker(payload, tracer=None, metrics=None):
     adopts a duplicate's bundle for any bundle-less kept record, same
     as crash images.
     """
-    worker_id, attempt, factory, config, seed, shared_corpus = payload
+    worker_id, factory, config, seed = payload
     if _start_queue is not None:
         # CLOCK_MONOTONIC is system-wide on Linux, so the parent can
         # compare this stamp against its own clock directly.
-        _start_queue.put((worker_id, attempt, os.getpid(),
-                          time.monotonic()))
+        _start_queue.put((worker_id, os.getpid(), time.monotonic()))
     try:
         if isinstance(factory, str):
             # A dynamically registered target only exists by name after
@@ -228,17 +185,16 @@ def _run_worker(payload, tracer=None, metrics=None):
             target = make_target(factory)
         else:
             target = factory()
-        cfg = _session_config(config, seed, shared_corpus)
+        cfg = _session_config(config, seed)
         result = PMRace(target, cfg, tracer=tracer, metrics=metrics).run()
-        return (worker_id, attempt, seed, "ok", result)
+        return (worker_id, seed, "ok", result)
     except (SessionInterrupted, KeyboardInterrupt):
         # On the in-process path the SignalGuard handler raises inside
         # the engine session; it must reach the service's interrupt
-        # handling, not be recorded as a worker failure and retried.
+        # handling, not be recorded as a worker failure.
         raise
     except Exception:
-        return (worker_id, attempt, seed, "error",
-                traceback.format_exc())
+        return (worker_id, seed, "error", traceback.format_exc())
 
 
 def _target_name(target):
@@ -268,18 +224,14 @@ class ParallelFuzzService:
     run is still in flight (via the ``progress`` callback arguments).
 
     With a ``session`` (:class:`~repro.core.session.Session`), every
-    completed worker is durably checkpointed and journaled, signals
+    finished worker is durably checkpointed and journaled, signals
     produce a final checkpoint instead of lost work, and a resumed
-    session restores the merged result, skips finished workers, and
-    continues each unfinished worker at the attempt the retry ledger
-    recorded.
+    session restores the merged result and skips finished workers.
     """
 
     def __init__(self, target, config=None, seeds=(7, 13, 42, 99),
-                 processes=None, worker_timeout=None, max_retries=1,
-                 progress=None, tracer=None, metrics=None, session=None,
-                 retry_backoff=0.5, retry_backoff_cap=30.0,
-                 backoff_rng=None, clock=time.monotonic, sleep=time.sleep):
+                 processes=None, worker_timeout=None, progress=None,
+                 tracer=None, metrics=None, session=None):
         if not seeds:
             raise ValueError("fuzz_parallel needs at least one seed")
         self.target = target
@@ -287,18 +239,8 @@ class ParallelFuzzService:
         self.seeds = tuple(seeds)
         self.processes = processes
         self.worker_timeout = worker_timeout
-        self.max_retries = max_retries
         self.progress = progress
         self.session = session
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
-        # Seeded from the run's seeds, so the backoff schedule is
-        # deterministic for a given invocation; tests may inject both
-        # the rng and a fake clock/sleep to pin the exact delays.
-        self.backoff_rng = backoff_rng if backoff_rng is not None else \
-            random.Random(mix_seeds(_BACKOFF_SALT, *self.seeds))
-        self.clock = clock
-        self.sleep = sleep
         # Pool workers run in subprocesses, so their events surface here
         # as typed "worker" records and merged profile/metric aggregates;
         # in-process sessions (processes=1) write into these sinks too.
@@ -316,9 +258,8 @@ class ParallelFuzzService:
 
     def _initial_jobs(self):
         """The dispatch list: all workers on a fresh run; on resume,
-        only unfinished workers, each continuing at the journal ledger's
-        next attempt (so retry budgets survive the crash)."""
-        done, ledger = set(), {}
+        only the workers no journal line or checkpoint records."""
+        done = set()
         if self.session is not None and self.session.resumed:
             restored = self.session.load_checkpoint(
                 copy.deepcopy(self.config)
@@ -326,7 +267,6 @@ class ParallelFuzzService:
             if restored is not None:
                 self.merged = restored
             done = self.session.done_units()
-            ledger = self.session.retry_ledger()
             if self.tracer.enabled:
                 self.tracer.emit(
                     "session_resume", dir=self.session.directory,
@@ -337,20 +277,8 @@ class ParallelFuzzService:
                 self.metrics.counter("session.resume.skipped").inc(
                     len(done))
         self._units = set(done)
-        jobs = []
-        for index, seed in enumerate(self.seeds):
-            if index in done:
-                continue
-            next_attempt, last_seed = ledger.get(index, (0, seed))
-            if next_attempt == 0:
-                jobs.append(_Job(index, seed))
-            elif next_attempt <= self.max_retries:
-                jobs.append(_Job(index,
-                                 retry_seed(last_seed, next_attempt),
-                                 next_attempt))
-            # else: the previous run already exhausted this worker's
-            # retry budget — resuming does not grant a fresh one.
-        return jobs
+        return [_Job(index, seed) for index, seed in enumerate(self.seeds)
+                if index not in done]
 
     def run(self):
         jobs = self._initial_jobs()
@@ -362,7 +290,6 @@ class ParallelFuzzService:
                              target=_target_name(self.target), parallel=True,
                              seeds=list(self.seeds),
                              processes=self.processes,
-                             max_retries=self.max_retries,
                              resumed=bool(self.session is not None
                                           and self.session.resumed))
         start = time.monotonic()
@@ -401,52 +328,24 @@ class ParallelFuzzService:
     # ------------------------------------------------------------------
 
     def _payload(self, job):
-        return (job.worker_id, job.attempt, self.target, self.config,
-                job.seed, job.shared_corpus)
-
-    def _reseed(self, job):
-        """Stamp a retry with the merged shared corpus as it stands at
-        *dispatch* time (not when the retry was scheduled), so it picks
-        up everything other workers merged while it waited for a slot."""
-        if job.attempt == 0:
-            return job
-        job.shared_corpus = [dict(entry, stats=dict(entry["stats"]))
-                             for entry in self.merged.corpus_seeds] or None
-        if job.shared_corpus and self.metrics is not None:
-            self.metrics.counter("parallel.corpus_reseeded").inc(
-                len(job.shared_corpus))
-        return job
-
-    def _backoff_delay(self, attempt):
-        """Capped exponential backoff with jitter for retry ``attempt``
-        (1-based): ``base * 2**(attempt-1)`` capped, scaled into
-        ``[0.5, 1.0)`` of itself by the seeded jitter stream."""
-        if self.retry_backoff <= 0:
-            return 0.0
-        delay = min(self.retry_backoff_cap,
-                    self.retry_backoff * (2 ** (attempt - 1)))
-        return delay * (0.5 + 0.5 * self.backoff_rng.random())
+        return (job.worker_id, self.target, self.config, job.seed)
 
     def _checkpoint_unit(self, stats):
-        """Durably commit one finished attempt: checkpoint first (it
-        embeds the unit list), journal line second — a crash between the
-        two double-records nothing, since resume takes the union."""
+        """Durably commit one finished worker, failed or not: checkpoint
+        first (it embeds the unit list and the worker's stats), journal
+        line second — a crash between the two double-records nothing,
+        since resume takes the union."""
         if self.session is None:
             return
-        if stats.status == "ok":
-            self._units.add(stats.worker_id)
-            self.session.write_checkpoint(self.merged, self._units)
+        self._units.add(stats.worker_id)
+        self.session.write_checkpoint(self.merged, self._units)
         self.session.record_unit(stats.worker_id, stats.seed,
-                                 stats.attempt, stats.status,
-                                 stats.campaigns)
+                                 stats.status, stats.campaigns)
 
-    def _absorb(self, job, outcome):
-        """Fold one worker attempt into the merged result; returns the
-        retry job (backoff already stamped) if the attempt failed and
-        has retry budget left."""
-        worker_id, attempt, seed, status, value = outcome
-        stats = WorkerStats(worker_id, seed, attempt)
-        stats.corpus_seeded = len(job.shared_corpus or ())
+    def _absorb(self, outcome):
+        """Fold one finished worker into the merged result."""
+        worker_id, seed, status, value = outcome
+        stats = WorkerStats(worker_id, seed)
         merge_seconds = 0.0
         if status == "ok":
             stats.record(value)
@@ -474,50 +373,32 @@ class ParallelFuzzService:
                 stats.duration)
         if self.tracer.enabled:
             self.tracer.emit("worker", worker_id=worker_id, seed=seed,
-                             attempt=attempt, status=stats.status,
+                             status=stats.status,
                              campaigns=stats.campaigns,
                              duration_s=round(stats.duration, 6),
                              merge_s=round(merge_seconds, 6),
                              merged_campaigns=self.merged.campaigns)
         if self.progress is not None:
             self.progress(stats, self.merged)
-        if stats.status != "ok" and attempt < self.max_retries:
-            retry = job.retry()
-            delay = self._backoff_delay(retry.attempt)
-            retry.not_before = self.clock() + delay
-            if self.metrics is not None:
-                self.metrics.histogram("parallel.retry_backoff_s").observe(
-                    delay)
-            return retry
-        return None
 
     def _run_inprocess(self, jobs):
         """Sequential fallback (``processes=1``) — debugger friendly.
 
         ``worker_timeout`` is not enforced here: there is no second
-        process to observe a hang from.  Retry backoff is honored by
-        sleeping out the remaining delay before dispatch.
+        process to observe a hang from.
         """
-        queue = list(jobs)
-        while queue:
-            job = queue.pop(0)
-            remaining = job.not_before - self.clock()
-            if remaining > 0:
-                self.sleep(remaining)
-            job = self._reseed(job)
-            retry = self._absorb(job, _run_worker(
-                self._payload(job), self.tracer, self.metrics))
-            if retry is not None:
-                queue.append(retry)
+        for job in jobs:
+            self._absorb(_run_worker(self._payload(job), self.tracer,
+                                     self.metrics))
 
-    def _drain_start_reports(self, start_queue, waiting):
+    def _drain_start_reports(self, start_queue, by_worker):
         """Stamp execution start and pid onto in-flight jobs."""
         while True:
             try:
-                worker_id, attempt, pid, stamp = start_queue.get_nowait()
+                worker_id, pid, stamp = start_queue.get_nowait()
             except Empty:
                 return
-            job = waiting.get((worker_id, attempt))
+            job = by_worker.get(worker_id)
             if job is not None:
                 job.started = stamp
                 job.pid = pid
@@ -530,6 +411,10 @@ class ParallelFuzzService:
                 pass
 
     def _run_pool(self, jobs):
+        if not jobs:
+            # A resumed session with every unit finished: a default-sized
+            # pool would have zero processes.
+            return
         processes = self.processes or min(len(jobs),
                                           multiprocessing.cpu_count())
         start_queue = multiprocessing.Queue()
@@ -537,26 +422,20 @@ class ParallelFuzzService:
                                     initializer=_pool_worker_init,
                                     initargs=(start_queue,))
         abort = False
+        inflight = {}
+        by_worker = {job.worker_id: job for job in jobs}
         try:
-            inflight = {}
-            waiting = {}
-            queue = list(jobs)
-            while queue or inflight:
-                now = self.clock()
-                for job in [j for j in queue if j.not_before <= now]:
-                    queue.remove(job)
-                    job = self._reseed(job)
-                    waiting[job.key] = job
-                    inflight[pool.apply_async(_run_worker,
-                                              (self._payload(job),))] = job
-                self.sleep(_POLL_INTERVAL)
-                self._drain_start_reports(start_queue, waiting)
+            for job in jobs:
+                inflight[pool.apply_async(_run_worker,
+                                          (self._payload(job),))] = job
+            while inflight:
+                time.sleep(_POLL_INTERVAL)
+                self._drain_start_reports(start_queue, by_worker)
                 for handle in list(inflight):
                     job = inflight[handle]
                     if handle.ready():
                         del inflight[handle]
-                        waiting.pop(job.key, None)
-                        retry = self._absorb(job, handle.get())
+                        self._absorb(handle.get())
                     elif self.worker_timeout is not None and \
                             job.started is not None and \
                             time.monotonic() - job.started > \
@@ -566,16 +445,14 @@ class ParallelFuzzService:
                         # never charged for its waiting time.  The stuck
                         # process is killed outright: the pool reaps it
                         # and respawns a fresh worker, so the slot is
-                        # available to queued retries instead of being
+                        # available to queued seeds instead of being
                         # held hostage until the final terminate().
                         del inflight[handle]
-                        waiting.pop(job.key, None)
                         abort = True
                         self._kill_job(job)
-                        retry = self._absorb(
-                            job, (job.worker_id, job.attempt, job.seed,
-                                  "timeout", "worker exceeded %.1fs"
-                                  % self.worker_timeout))
+                        self._absorb((job.worker_id, job.seed, "timeout",
+                                      "worker exceeded %.1fs"
+                                      % self.worker_timeout))
                     elif job.pid is not None and not _pid_alive(job.pid):
                         # The worker vanished (SIGKILL, OOM): its result
                         # handle will never become ready, so without this
@@ -585,7 +462,6 @@ class ParallelFuzzService:
                         if handle.ready():
                             continue
                         del inflight[handle]
-                        waiting.pop(job.key, None)
                         # The lost task's result handle stays incomplete
                         # in the pool's cache forever, so a graceful
                         # close()+join() would hang waiting on it: this
@@ -594,14 +470,9 @@ class ParallelFuzzService:
                         if self.metrics is not None:
                             self.metrics.counter(
                                 "parallel.workers_died").inc()
-                        retry = self._absorb(
-                            job, (job.worker_id, job.attempt, job.seed,
-                                  "died", "worker process %d died "
-                                  "without reporting a result" % job.pid))
-                    else:
-                        continue
-                    if retry is not None:
-                        queue.append(retry)
+                        self._absorb((job.worker_id, job.seed, "died",
+                                      "worker process %d died without "
+                                      "reporting a result" % job.pid))
         except BaseException:
             # Interrupt or internal error: take the in-flight workers
             # down with us so terminate() isn't blocked by busy children.
@@ -619,9 +490,8 @@ class ParallelFuzzService:
 
 
 def fuzz_parallel(target, config=None, seeds=(7, 13, 42, 99),
-                  processes=None, worker_timeout=None, max_retries=1,
-                  progress=None, tracer=None, metrics=None, session=None,
-                  **supervision):
+                  processes=None, worker_timeout=None, progress=None,
+                  tracer=None, metrics=None, session=None):
     """Fuzz ``target`` with one worker session per seed; merged result.
 
     Args:
@@ -636,29 +506,23 @@ def fuzz_parallel(target, config=None, seeds=(7, 13, 42, 99),
         worker_timeout: Seconds a worker may *execute* before it is
             killed and written off as hung (pool path only; the clock
             starts at the worker's start report, not at submission, so
-            retries queued behind a stuck process are not falsely timed
+            seeds queued behind a stuck process are not falsely timed
             out while they wait for a slot).
-        max_retries: How many times a failed/timed-out/died session is
-            retried under a fresh seed (default 1), after capped
-            exponential backoff with seeded jitter.
         progress: Optional callable ``progress(stats, merged)`` invoked
-            after every worker attempt with that attempt's
-            :class:`WorkerStats` and the merged-so-far result.
+            after every finished worker with its :class:`WorkerStats`
+            and the merged-so-far result.
         tracer: Optional :class:`~repro.obs.tracer.Tracer` (parent-side:
             worker lifecycle becomes typed ``worker`` events).
         metrics: Optional :class:`~repro.obs.metrics.Metrics` counting
-            attempts, merged campaigns, deaths, backoff delays, and
-            merge/worker durations.
+            attempts, merged campaigns, deaths, and merge/worker
+            durations.
         session: Optional :class:`~repro.core.session.Session` making the
             run durable (per-unit checkpoints, graceful signals,
             ``--resume`` support).
-        **supervision: Passed to :class:`ParallelFuzzService` —
-            ``retry_backoff``, ``retry_backoff_cap``, ``backoff_rng``,
-            ``clock``, ``sleep``.
 
     Returns:
         A fresh merged :class:`~repro.core.engine.RunResult` whose
-        ``worker_stats`` lists every attempt and whose ``interrupted``
+        ``worker_stats`` holds one entry per worker and whose ``interrupted``
         attribute carries the signal number when a session run was
         stopped by SIGINT/SIGTERM (None otherwise); the per-worker
         results the workers produced are left unmodified.
@@ -666,7 +530,5 @@ def fuzz_parallel(target, config=None, seeds=(7, 13, 42, 99),
     return ParallelFuzzService(target, config, seeds=seeds,
                                processes=processes,
                                worker_timeout=worker_timeout,
-                               max_retries=max_retries,
                                progress=progress, tracer=tracer,
-                               metrics=metrics, session=session,
-                               **supervision).run()
+                               metrics=metrics, session=session).run()

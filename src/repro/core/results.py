@@ -282,13 +282,12 @@ def count_repro_bundles(result):
 
 
 def build_worker_table(result):
-    """Per-worker attempt rows for a parallel run's ``worker_stats``."""
+    """One row per worker of a parallel run's ``worker_stats``."""
     rows = []
     for stats in result.worker_stats:
         rows.append({
             "worker": stats.worker_id,
             "seed": stats.seed,
-            "attempt": stats.attempt,
             "status": stats.status,
             "campaigns": stats.campaigns,
             "duration_s": "%.2f" % stats.duration,

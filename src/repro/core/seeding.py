@@ -1,9 +1,8 @@
-"""Stable seed derivation for policies and worker retries.
+"""Stable seed derivation for scheduler policies.
 
 The engine derives one scheduler-policy seed per campaign from
-``(base_seed, campaign_index)`` and the parallel service derives fresh
-seeds for retried workers from ``(seed, attempt)``.  Python's builtin
-``hash`` is unsuitable for both: its value for ints is implementation
+``(base_seed, campaign_index)``.  Python's builtin
+``hash`` is unsuitable for this: its value for ints is implementation
 defined (it differs between CPython builds and alternative interpreters),
 so runs would not be reproducible across environments.  ``mix_seeds``
 instead packs the parts as little-endian 64-bit words and CRC-32s them —
@@ -14,9 +13,6 @@ import struct
 import zlib
 
 _MASK64 = (1 << 64) - 1
-
-#: Fixed salt so retry seeds do not collide with the original seed space.
-RETRY_SALT = 0x9E3779B9
 
 
 def mix_seeds(*parts):
@@ -35,14 +31,3 @@ def mix_seeds(*parts):
 def policy_seed(base_seed, campaign_index):
     """The scheduler-policy seed for one campaign of one session."""
     return mix_seeds(base_seed, campaign_index)
-
-
-def retry_seed(seed, attempt):
-    """A fresh base seed for retrying a failed worker.
-
-    Salted so a retried worker never replays the seed space of a live
-    worker (attempt 0 is the original seed itself).
-    """
-    if attempt == 0:
-        return seed
-    return mix_seeds(seed, attempt, RETRY_SALT)

@@ -13,7 +13,7 @@ tests targets for:
                          config digest, so ``--resume`` refuses to mix
                          incompatible runs.
     ``journal.jsonl``    append-only work-unit journal (one fsync'd line
-                         per completed engine session / worker attempt,
+                         per finished engine session, failed or not,
                          plus open/resume markers). The recovery loader
                          tolerates a torn tail line — the normal state
                          of an appended file after SIGKILL.
@@ -651,11 +651,11 @@ class Session:
             self.write_errors += 1
             self._count("session.write_errors")
 
-    def record_unit(self, worker_id, seed, attempt, status, campaigns=0):
+    def record_unit(self, worker_id, seed, status, campaigns=0):
         """Journal one finished work unit (after its checkpoint)."""
         entry = {"type": "unit", "worker_id": int(worker_id),
-                 "seed": int(seed), "attempt": int(attempt),
-                 "status": status, "campaigns": int(campaigns)}
+                 "seed": int(seed), "status": status,
+                 "campaigns": int(campaigns)}
         self._journal.append(entry)
         self._append(entry)
         self._count("session.units")
@@ -664,26 +664,13 @@ class Session:
         return [r for r in self._journal if r.get("type") == "unit"]
 
     def done_units(self):
-        """Worker ids whose session completed — the union of journaled
-        ``ok`` units and units embedded in the committed checkpoint
-        (covers a crash between checkpoint write and journal append)."""
-        done = {r["worker_id"] for r in self.unit_records()
-                if r.get("status") == "ok"}
+        """Worker ids whose session finished, whatever its status — the
+        union of journaled units and units embedded in the committed
+        checkpoint (covers a crash between checkpoint write and journal
+        append)."""
+        done = {r["worker_id"] for r in self.unit_records()}
         done.update(self._checkpoint_units)
         return done
-
-    def retry_ledger(self):
-        """Per-worker ``(next_attempt, last_seed)`` from the journal, so
-        a resumed run continues attempt counts instead of resetting the
-        retry budget."""
-        ledger = {}
-        for record in self.unit_records():
-            worker_id = record["worker_id"]
-            previous = ledger.get(worker_id)
-            if previous is None or record["attempt"] >= previous[0] - 1:
-                ledger[worker_id] = (record["attempt"] + 1,
-                                     record["seed"])
-        return ledger
 
     # ------------------------------------------------------------------
     # checkpoint

@@ -29,7 +29,6 @@ from .bundle import (
 from .minimize import DEFAULT_BUDGET, ShrinkResult, shrink_bundle
 from .recorder import CampaignCapture, RecordingRandom, ReplayRandom
 from .replayer import ReplayOutcome, ReplayRun, replay_bundle, replay_campaign
-from .scheduler import ReplayScheduler
 
 __all__ = [
     "BUNDLE_VERSION",
@@ -41,7 +40,6 @@ __all__ = [
     "ReplayOutcome",
     "ReplayRandom",
     "ReplayRun",
-    "ReplayScheduler",
     "ReproBundle",
     "ShrinkResult",
     "bundle_filename",

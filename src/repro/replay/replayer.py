@@ -7,8 +7,8 @@ state, a fresh call-site table with the bundle's sync-point sites and
 skips re-interned, a :class:`~repro.runtime.policies.ReplayPolicy` over
 the recorded decision vector, and :class:`~repro.replay.recorder.
 ReplayRandom` streams for the privileged-election and eviction draws —
-and runs one campaign through a :class:`~repro.replay.scheduler.
-ReplayScheduler`. The actual decisions and draws are re-journaled, so a
+and runs one campaign under a plain scheduler driven by that policy.
+The actual decisions and draws are re-journaled, so a
 replay (or a shrink candidate) that reproduces can be saved as a new,
 exactly-replayable bundle.
 
@@ -35,7 +35,6 @@ from ..runtime.policies import (
 from ..targets.registry import make_target
 from .bundle import ReproBundle
 from .recorder import ReplayRandom
-from .scheduler import ReplayScheduler
 
 
 class ReplayRun:
@@ -138,8 +137,7 @@ def replay_campaign(bundle, ops=None, schedule=None, metrics=None,
         spin_hang_limit=cfg.get("spin_hang_limit", 400),
         metrics=metrics, callsites=callsites,
         evict_fraction=cfg.get("evict_fraction", 0.0),
-        evict_rng=evict_rng, scheduler_factory=ReplayScheduler,
-        carriers=carriers)
+        evict_rng=evict_rng, carriers=carriers)
     run.campaign = campaign
     run.status = campaign.outcome.status
     run.error = campaign.outcome.error

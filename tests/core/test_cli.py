@@ -50,25 +50,26 @@ class TestParser:
     def test_fuzz_parallel_options(self):
         args = build_parser().parse_args(
             ["fuzz", "P-CLHT", "--seeds", "1", "2",
-             "--parallel", "2", "--worker-timeout", "30",
-             "--max-retries", "2"])
+             "--parallel", "2", "--worker-timeout", "30"])
         assert args.command == "fuzz"
         assert args.seeds == [1, 2]
         assert args.parallel == 2
         assert args.worker_timeout == 30.0
-        assert args.max_retries == 2
 
     def test_fuzz_parallel_defaults(self):
-        """In-process, no timeout, and no retries: a seed that raises
-        fails the run instead of being swapped for a derived one."""
+        """In-process and no timeout."""
         args = build_parser().parse_args(["fuzz", "CCEH"])
         assert args.parallel == 0
         assert args.worker_timeout is None
-        assert args.max_retries == 0
 
     @pytest.mark.parametrize("argv", [
         ["fuzz-parallel", "P-CLHT"],
         ["fuzz", "P-CLHT", "--processes", "2"],
+        ["fuzz", "P-CLHT", "--max-retries", "1"],
+        # In-process workers cannot be timed out, so the flag would be
+        # silently ignored.
+        ["fuzz", "P-CLHT", "--worker-timeout", "30"],
+        ["fuzz", "P-CLHT", "--parallel", "1", "--worker-timeout", "30"],
         ["validate", "P-CLHT", "--jobs", "2"],
         ["validate", "P-CLHT", "--max-retries", "1"],
         ["tables", "--worker-timeout", "30"],
@@ -162,8 +163,54 @@ class TestCommands:
         assert main([command, "pmring", "--campaigns", "4",
                      "--seeds", "7"]) == 1
         err = capsys.readouterr().err
-        assert "no retry budget left" in err
+        assert "1 worker(s) failed" in err
         assert "RuntimeError: broken target" in err
+
+    def test_failed_seed_survives_kill_before_final_checkpoint(
+            self, capsys, monkeypatch, tmp_path):
+        """The second seed raises, then the run dies before its final
+        checkpoint. The failed unit was checkpointed when it finished,
+        so the resumed run skips it, still reports it, and exits 1."""
+        import repro.core.parallel as parallel
+        from repro.core.session import InjectedFault, Session
+
+        real_make_target, built = parallel.make_target, []
+
+        def second_seed_broken(name):
+            built.append(name)
+            if len(built) == 2:
+                raise RuntimeError("seed 13 is broken")
+            return real_make_target(name)
+
+        real_checkpoint = Session.write_checkpoint
+
+        def killed_before_final(session, result, units, final=False,
+                                interrupted=None):
+            if final:
+                raise InjectedFault("killed before the final checkpoint")
+            return real_checkpoint(session, result, units, final,
+                                   interrupted)
+
+        monkeypatch.setattr(parallel, "make_target", second_seed_broken)
+        monkeypatch.setattr(Session, "write_checkpoint", killed_before_final)
+        argv = ["fuzz", "pmring", "--campaigns", "4", "--seeds", "7", "13",
+                "--session-dir", str(tmp_path / "session")]
+        with pytest.raises(InjectedFault):
+            main(argv)
+        monkeypatch.setattr(Session, "write_checkpoint", real_checkpoint)
+        capsys.readouterr()
+        results = []
+        real_print = cli._print_findings
+        monkeypatch.setattr(cli, "_print_findings", lambda result, args: (
+            results.append(result), real_print(result, args)))
+        assert main(argv + ["--resume"]) == 1
+        assert len(built) == 2  # nothing re-ran
+        assert [(s.worker_id, s.seed, s.status)
+                for s in results[0].worker_stats] == \
+            [(0, 7, "ok"), (1, 13, "failed")]
+        err = capsys.readouterr().err
+        assert "1 worker(s) failed" in err
+        assert "seed 13 is broken" in err
 
     def test_fuzz_parallel_unknown_target(self, capsys):
         assert main(["fuzz", "redis", "--parallel", "2"]) == 2

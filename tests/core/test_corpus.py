@@ -256,18 +256,6 @@ class TestExportMerge:
         assert doc["stats"]["campaigns"] == 2
         json.dumps(doc)  # must be picklable/plain JSON for the pool
 
-    def test_add_exported_adopts_and_dedups(self):
-        source = Corpus()
-        source.add_initial(make_seed())
-        sink = Corpus()
-        sink.add_initial(make_seed())
-        sink.add_exported(source.export()[0])
-        assert len(sink) == 1  # digest-identical: adopted into existing
-        other = Corpus()
-        adopted = other.add_exported(source.export()[0])
-        assert adopted is not None and len(other) == 1
-        assert adopted.initial  # shared seeds are pinned
-
     def test_run_result_merge_folds_by_digest(self):
         a = PMRace(ToyTarget(), PMRaceConfig(max_campaigns=8,
                                              base_seed=7)).run()

@@ -1,8 +1,8 @@
 """Fault-tolerant parallel fuzzing service tests (§5).
 
 Covers the guarantees the service makes beyond plain ``Pool.map``:
-streaming merge into a fresh result, bounded retry under a fresh seed,
-per-worker config isolation, worker statistics, and the
+streaming merge into a fresh result, failed workers reported once under
+their own seed, per-worker config isolation, worker statistics, and the
 ``RunResult.merge`` time-offset semantics the merge relies on.
 """
 
@@ -17,7 +17,6 @@ from repro.core import (
     RunResult,
     WorkerStats,
     fuzz_parallel,
-    retry_seed,
 )
 from repro.core.engine import HangRecord
 from repro.detect.whitelist import Whitelist
@@ -50,7 +49,7 @@ class FlakyFactory:
 
 
 class BrokenFactory:
-    """Every construction fails — exhausts all retry budget."""
+    """Every construction fails."""
 
     def __call__(self):
         raise RuntimeError("permanently broken target")
@@ -68,8 +67,8 @@ class HangFirstAttemptsFactory:
     """Hangs the first ``hangs`` constructions, then builds ToyTargets.
 
     Each hanging call drops a unique marker file first, so the count is
-    visible across pool processes: retries (fresh processes after the
-    stuck ones are killed) see the quota filled and proceed.
+    visible across pool processes: later seeds (run by fresh processes
+    after the stuck ones are killed) see the quota filled and proceed.
     """
 
     def __init__(self, marker_dir, hangs=2):
@@ -86,89 +85,63 @@ class HangFirstAttemptsFactory:
 
 
 class TestFaultTolerance:
-    def test_worker_fault_is_retried_inprocess(self, tmp_path):
+    def test_worker_fault_is_reported_inprocess(self, tmp_path):
         factory = FlakyFactory(tmp_path / "marker")
         result = fuzz_parallel(factory, small_config(), seeds=(1, 2),
                                processes=1)
-        # The run completed despite the injected crash...
-        assert result.campaigns == 16
-        statuses = [stats.status for stats in result.worker_stats]
-        assert statuses.count("failed") == 1
-        assert statuses.count("ok") == 2
-        # ...and the retry ran under a fresh, stable seed.
-        retried = [stats for stats in result.worker_stats
-                   if stats.attempt == 1]
-        assert len(retried) == 1
-        assert retried[0].status == "ok"
-        failed = [stats for stats in result.worker_stats
-                  if stats.status == "failed"][0]
-        assert retried[0].seed == retry_seed(failed.seed, 1)
-        assert retried[0].seed not in (1, 2)
-        assert "injected worker fault" in failed.error
+        # The run completed despite the injected crash, which is
+        # recorded under the seed it hit and not run again.
+        assert result.campaigns == 8
+        assert [(stats.seed, stats.status)
+                for stats in result.worker_stats] == \
+            [(1, "failed"), (2, "ok")]
+        assert "injected worker fault" in result.worker_stats[0].error
 
-    def test_worker_fault_is_retried_multiprocess(self, tmp_path):
+    def test_worker_fault_is_reported_multiprocess(self, tmp_path):
         factory = FlakyFactory(tmp_path / "marker")
         result = fuzz_parallel(factory, small_config(), seeds=(1, 2),
                                processes=2)
         # Both workers may race past the marker check and crash; each
-        # retry succeeds, so the merged run is always complete.
-        assert result.campaigns == 16
+        # seed still leaves exactly one entry, under its own seed.
+        assert sorted(stats.seed for stats in result.worker_stats) == [1, 2]
         assert any(stats.status == "failed"
                    for stats in result.worker_stats)
-        assert sum(stats.status == "ok"
-                   for stats in result.worker_stats) == 2
+        ok = sum(stats.status == "ok" for stats in result.worker_stats)
+        assert result.campaigns == 8 * ok
 
-    def test_retry_budget_exhausted_still_completes(self):
-        result = fuzz_parallel(BrokenFactory(), small_config(),
-                               seeds=(1, 2), processes=1, max_retries=1)
+    def test_failed_seeds_are_reported_not_replaced(self):
+        result = fuzz_parallel(BrokenFactory(), seeds=(1, 2), processes=1)
         assert result.campaigns == 0
-        assert len(result.worker_stats) == 4  # 2 seeds x (try + retry)
-        assert all(stats.status == "failed"
-                   for stats in result.worker_stats)
-        assert {stats.attempt for stats in result.worker_stats} == {0, 1}
+        assert [(stats.seed, stats.status)
+                for stats in result.worker_stats] == \
+            [(1, "failed"), (2, "failed")]
 
     def test_worker_timeout_written_off(self):
         start = time.monotonic()
         result = fuzz_parallel(HangingFactory(), small_config(),
                                seeds=(1,), processes=2,
-                               worker_timeout=1.0, max_retries=0)
+                               worker_timeout=1.0)
         assert time.monotonic() - start < 30
         assert result.campaigns == 0
         assert [stats.status for stats in result.worker_stats] == \
             ["timeout"]
 
     def test_retry_behind_stuck_workers_still_runs(self, tmp_path):
-        """Regression: the timeout clock used to start at *submission*,
-        and the pool never killed a stuck process.  With every slot held
-        by a hung worker, a queued retry aged past the timeout while
-        waiting for a slot and was falsely written off — the run ended
-        with zero campaigns despite retry budget.  Now the clock starts
-        at the worker's own start report and stuck processes are killed,
-        so both retries get a slot and succeed."""
+        """Liveness: seeds queued behind hung workers still get a slot.
+        With every slot held by a hung worker, a queued seed must not
+        age past the timeout while it waits (the clock starts at the
+        worker's own start report), and the stuck processes are killed
+        so the pool can run what is queued."""
         factory = HangFirstAttemptsFactory(tmp_path, hangs=2)
         start = time.monotonic()
-        result = fuzz_parallel(factory, small_config(), seeds=(1, 2),
-                               processes=2, worker_timeout=1.5,
-                               max_retries=1)
+        result = fuzz_parallel(factory, small_config(), seeds=(1, 2, 3, 4),
+                               processes=2, worker_timeout=1.5)
         assert time.monotonic() - start < 60
         statuses = sorted(stats.status for stats in result.worker_stats)
         assert statuses == ["ok", "ok", "timeout", "timeout"]
+        assert sorted(stats.seed for stats in result.worker_stats) == \
+            [1, 2, 3, 4]
         assert result.campaigns == 16
-
-    def test_retry_is_reseeded_from_shared_corpus(self, tmp_path):
-        """A retried session starts from the merged shared corpus
-        instead of from scratch (its stats record how many seeds)."""
-        factory = FlakyFactory(tmp_path / "marker")
-        result = fuzz_parallel(factory, small_config(), seeds=(1, 2),
-                               processes=1)
-        retried = [stats for stats in result.worker_stats
-                   if stats.attempt == 1]
-        assert len(retried) == 1
-        # The other worker finished (and merged its corpus) before the
-        # retry was scheduled on the sequential in-process path.
-        assert retried[0].corpus_seeded > 0
-        assert retried[0].corpus_seeded <= len(result.corpus_seeds)
-        assert result.corpus_seeds  # workers' corpora reached the merge
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
@@ -178,8 +151,8 @@ class TestFaultTolerance:
 class TestMergeIsolation:
     def test_worker_results_never_mutated(self):
         """Merging folds into a fresh result; the sources are untouched,
-        including two same-seed sessions whose retained corpora overlap
-        (as do retries re-seeded from the shared corpus)."""
+        including two same-seed sessions whose retained corpora
+        overlap."""
         from repro.core import PMRace
         a = PMRace(ToyTarget(), small_config(base_seed=1)).run()
         b = PMRace(ToyTarget(), small_config(base_seed=2)).run()

@@ -8,7 +8,7 @@ hashing is implementation defined.
 
 import pytest
 
-from repro.core.seeding import mix_seeds, policy_seed, retry_seed
+from repro.core.seeding import mix_seeds, policy_seed
 
 
 class TestMixSeeds:
@@ -47,18 +47,3 @@ class TestPolicySeed:
 
     def test_distinct_per_session(self):
         assert policy_seed(7, 0) != policy_seed(13, 0)
-
-
-class TestRetrySeed:
-    def test_attempt_zero_is_identity(self):
-        assert retry_seed(7, 0) == 7
-
-    def test_golden_values(self):
-        assert retry_seed(7, 1) == 4222720726
-        assert retry_seed(7, 2) == 3531157028
-        assert retry_seed(13, 1) == 4035406439
-
-    def test_salted_away_from_policy_space(self):
-        # a retried worker must not replay another worker's seed space
-        assert retry_seed(7, 1) != mix_seeds(7, 1)
-        assert retry_seed(7, 1) != policy_seed(7, 1)

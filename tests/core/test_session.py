@@ -53,7 +53,7 @@ def open_session(directory, seeds=(7, 13), config=None, **kwargs):
 def fuzz_session(session, seeds=(7, 13), config=None):
     """``repro fuzz --session-dir``: one in-process session per seed."""
     return fuzz_parallel("pmring", config or small_config(), seeds=seeds,
-                         processes=1, max_retries=0, session=session)
+                         processes=1, session=session)
 
 
 def run_session(directory, seeds=(7, 13), config=None, session=None):
@@ -263,14 +263,13 @@ class TestSessionLifecycle:
         resumed = open_session(tmp_path, resume=True)
         assert resumed.done_units() == {0, 1}
 
-    def test_retry_ledger_tracks_attempts(self, tmp_path):
+    def test_failed_units_are_done(self, tmp_path):
+        """A failed unit is finished: resume reports it, never re-runs
+        it under its seed or any other."""
         session = open_session(tmp_path)
-        session.record_unit(0, 7, 0, "failed")
-        session.record_unit(0, 1234, 1, "failed")
-        session.record_unit(1, 13, 0, "ok", campaigns=8)
-        ledger = session.retry_ledger()
-        assert ledger[0] == (2, 1234)
-        assert ledger[1] == (1, 13)
+        session.record_unit(0, 7, "failed")
+        session.record_unit(1, 13, "ok", campaigns=8)
+        assert session.done_units() == {0, 1}
 
 
 class TestCheckpointRoundTrip:

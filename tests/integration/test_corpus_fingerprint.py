@@ -46,7 +46,7 @@ FASTFAIR_COVERAGE = 1041
 def test_pmring_corpus_fingerprint():
     result = fuzz_parallel("pmring",
                            PMRaceConfig(max_campaigns=PMRING_CAMPAIGNS),
-                           seeds=(7,), processes=1, max_retries=0)
+                           seeds=(7,), processes=1)
     corpus = [(entry["digest"], entry["stats"]["picks"],
                entry["stats"]["campaigns"])
               for entry in result.corpus_seeds]

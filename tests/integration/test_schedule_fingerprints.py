@@ -47,8 +47,7 @@ OUTCOME_PREFIX = "scheduler.outcome."
 def fingerprint(name):
     metrics = Metrics()
     result = fuzz_parallel(name, PMRaceConfig(max_campaigns=CAMPAIGNS),
-                           seeds=(SEED,), processes=1, max_retries=0,
-                           metrics=metrics)
+                           seeds=(SEED,), processes=1, metrics=metrics)
     assert result.campaigns == CAMPAIGNS
     outcomes = {metric[len(OUTCOME_PREFIX):]: metrics.value(metric)
                 for metric in metrics.snapshot()
