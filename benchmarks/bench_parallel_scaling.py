@@ -10,8 +10,9 @@ replaced by an overhead bound: every pool size must complete the
 identical merged workload within 1.8x of the serial wall clock.
 
 A second measurement pins the cost of durability: the identical workload
-with and without a ``--session-dir`` (per-unit checkpoints, journal,
-corpus mirror).  The crash-safe session layer must cost < 5% throughput.
+with and without a ``--session-dir`` (one checkpoint per finished unit,
+plus its crash images).  The crash-safe session layer must cost < 5%
+throughput.
 
 Runs standalone too: ``python benchmarks/bench_parallel_scaling.py``.
 """

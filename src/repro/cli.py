@@ -473,9 +473,9 @@ def build_parser():
                       help="with --parallel 2 or more: write off a "
                            "worker as hung after this long")
     fuzz.add_argument("--session-dir", metavar="DIR", dest="session_dir",
-                      help="make the run durable: journal + checkpoint "
-                           "every completed work unit here so a killed "
-                           "run can continue (see docs/SESSIONS.md)")
+                      help="make the run durable: checkpoint every "
+                           "completed work unit here so a killed run "
+                           "can continue (see docs/SESSIONS.md)")
     fuzz.add_argument("--resume", action="store_true",
                       help="continue the session in --session-dir: skip "
                            "finished work units, re-validate pending "

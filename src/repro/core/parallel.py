@@ -23,9 +23,9 @@ matrix run), with the guarantees a long campaign needs:
   stamp when it picks a job up; the parent times jobs out from that
   stamp and uses the pid for liveness checks and targeted kills.
 * **Durability** — pass a :class:`~repro.core.session.Session` and every
-  finished work unit, failed or not, is checkpointed (checkpoint first,
-  journal line second), SIGINT/SIGTERM stop dispatch and write a final
-  checkpoint, and a resumed session skips every finished worker.
+  finished work unit, failed or not, is checkpointed, SIGINT/SIGTERM
+  stop dispatch and write a final checkpoint, and a resumed session
+  skips every worker the committed checkpoint lists.
 * **Isolation** — each worker fuzzes a deep copy of the base config, so a
   caller-supplied mutable member (the :class:`~repro.detect.whitelist.
   Whitelist` in particular) is never shared between sessions, even on the
@@ -224,9 +224,9 @@ class ParallelFuzzService:
     run is still in flight (via the ``progress`` callback arguments).
 
     With a ``session`` (:class:`~repro.core.session.Session`), every
-    finished worker is durably checkpointed and journaled, signals
-    produce a final checkpoint instead of lost work, and a resumed
-    session restores the merged result and skips finished workers.
+    finished worker is durably checkpointed, signals produce a final
+    checkpoint instead of lost work, and a resumed session restores the
+    merged result and skips finished workers.
     """
 
     def __init__(self, target, config=None, seeds=(7, 13, 42, 99),
@@ -258,7 +258,7 @@ class ParallelFuzzService:
 
     def _initial_jobs(self):
         """The dispatch list: all workers on a fresh run; on resume,
-        only the workers no journal line or checkpoint records."""
+        only the workers the committed checkpoint does not list."""
         done = set()
         if self.session is not None and self.session.resumed:
             restored = self.session.load_checkpoint(
@@ -271,8 +271,7 @@ class ParallelFuzzService:
                 self.tracer.emit(
                     "session_resume", dir=self.session.directory,
                     skipped_units=len(done & set(
-                        range(len(self.seeds)))),
-                    torn_lines=self.session.journal_torn_lines)
+                        range(len(self.seeds)))))
             if self.metrics is not None:
                 self.metrics.counter("session.resume.skipped").inc(
                     len(done))
@@ -331,16 +330,13 @@ class ParallelFuzzService:
         return (job.worker_id, self.target, self.config, job.seed)
 
     def _checkpoint_unit(self, stats):
-        """Durably commit one finished worker, failed or not: checkpoint
-        first (it embeds the unit list and the worker's stats), journal
-        line second — a crash between the two double-records nothing,
-        since resume takes the union."""
+        """Durably commit one finished worker, failed or not: the
+        checkpoint embeds the unit list and the worker's stats, so the
+        unit is done exactly when that checkpoint commits."""
         if self.session is None:
             return
         self._units.add(stats.worker_id)
         self.session.write_checkpoint(self.merged, self._units)
-        self.session.record_unit(stats.worker_id, stats.seed,
-                                 stats.status, stats.campaigns)
 
     def _absorb(self, outcome):
         """Fold one finished worker into the merged result."""
@@ -451,7 +447,7 @@ class ParallelFuzzService:
                         abort = True
                         self._kill_job(job)
                         self._absorb((job.worker_id, job.seed, "timeout",
-                                      "worker exceeded %.1fs"
+                                      "worker exceeded %gs"
                                       % self.worker_timeout))
                     elif job.pid is not None and not _pid_alive(job.pid):
                         # The worker vanished (SIGKILL, OOM): its result

@@ -12,32 +12,24 @@ tests targets for:
     ``MANIFEST.json``    versioned identity: target, kind, seeds, and a
                          config digest, so ``--resume`` refuses to mix
                          incompatible runs.
-    ``journal.jsonl``    append-only work-unit journal (one fsync'd line
-                         per finished engine session, failed or not,
-                         plus open/resume markers). The recovery loader
-                         tolerates a torn tail line — the normal state
-                         of an appended file after SIGKILL.
     ``checkpoint.json``  atomically-replaced snapshot of the merged
                          :class:`~repro.core.engine.RunResult`: records
                          (verdicts, notes, repro bundles), candidates,
                          hangs, the exported corpus, worker stats, and
-                         the pending-validation index. Written tmp →
-                         fsync → ``os.replace`` → directory fsync, so a
-                         crash mid-write can never corrupt the previous
+                         the ``units`` it holds. Written tmp → fsync →
+                         ``os.replace`` → directory fsync, so a crash
+                         mid-write can never corrupt the previous
                          committed checkpoint.
     ``images/``          content-addressed crash images (one file per
                          unique digest), written atomically; checkpoint
                          records reference images by digest so an image
                          shared by many records is stored once.
-    ``corpus/``          digest-named JSON mirror of the merged seed
-                         corpus (same format as ``--corpus-dir``), kept
-                         in sync at every checkpoint.
 
-**Ordering discipline**: the checkpoint (which embeds the keys of every
-unit it contains) is written *before* the unit's journal line. A crash
-between the two leaves a checkpoint that is ahead of the journal; the
-resume loader takes the union, so a unit is never merged twice and
-never lost.
+**One record of finished work**: a unit is done if and only if the
+committed checkpoint lists it. Each finished unit is checkpointed the
+moment it is merged; a crash (or a failed write) before that checkpoint
+commits leaves the unit out, so resume runs it again — a unit is never
+merged twice and never lost.
 
 **Fault injection**: every session write is threaded through a
 :class:`FaultInjector` (``REPRO_FAULT_POINT`` env or constructed
@@ -61,7 +53,7 @@ from ..detect.records import (
 from ..detect.validation_service import image_digest
 from ..obs.tracer import NULL_TRACER, jsonable
 
-#: Bump when the manifest / journal / checkpoint layout changes; a
+#: Bump when the manifest / checkpoint layout changes; a
 #: session written by another version refuses to resume.
 SESSION_SCHEMA_VERSION = 1
 
@@ -150,20 +142,25 @@ class FaultInjector:
         return bool(self._arms)
 
     def check(self, point):
-        """Decrement matching countdowns; returns the action due at this
-        hit of ``point`` (or None). ``torn`` is returned to the caller —
-        the *writer* knows how to half-write — every other action fires
+        """Decrement every countdown armed at ``point``, then act on the
+        first arm that reached zero; returns the action due at this hit
+        (or None). Each arm thus counts every hit of its point, whatever
+        the other arms do. ``torn`` is returned to the caller — the
+        *writer* knows how to half-write — every other action fires
         immediately via :meth:`trip`."""
+        due = None
         for arm in self._arms:
-            if arm[0] != point:
-                continue
-            arm[2] -= 1
-            if arm[2] == 0:
-                self._arms.remove(arm)
-                self.fired.append((point, arm[1]))
-                if arm[1] == "torn":
-                    return "torn"
-                self.trip(point, arm[1])
+            if arm[0] == point:
+                arm[2] -= 1
+                if arm[2] == 0 and due is None:
+                    due = arm
+        if due is None:
+            return None
+        self._arms = [arm for arm in self._arms if arm[2] > 0]
+        self.fired.append((point, due[1]))
+        if due[1] == "torn":
+            return "torn"
+        self.trip(point, due[1])
         return None
 
     def trip(self, point, action):
@@ -235,56 +232,6 @@ def atomic_write_json(path, payload, fault=NULL_FAULTS,
     return atomic_write_text(
         path, json.dumps(payload, sort_keys=True, indent=1) + "\n",
         fault=fault, point=point)
-
-
-def append_jsonl(path, record, fault=NULL_FAULTS, point="journal_append"):
-    """Append one fsync'd JSON line. The ``torn`` fault persists half
-    the line with no newline — the torn tail :func:`read_journal`
-    must (and does) tolerate."""
-    action = fault.check(point) if fault else None
-    line = json.dumps(record, sort_keys=True)
-    with open(path, "a") as handle:
-        if action == "torn":
-            handle.write(line[: max(1, len(line) // 2)])
-            handle.flush()
-            os.fsync(handle.fileno())
-            raise InjectedFault("injected torn append at %s" % point)
-        handle.write(line + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
-def read_journal(path):
-    """Parse an append-only JSONL journal; returns ``(records, torn)``.
-
-    A torn *tail* line (no trailing newline, or half a JSON document —
-    the normal state after SIGKILL mid-append) is counted and skipped.
-    Torn lines anywhere else mean the file was corrupted by something
-    other than an append crash and raise :class:`SessionError`.
-    """
-    records, torn = [], 0
-    if not os.path.exists(path):
-        return records, torn
-    with open(path) as handle:
-        lines = handle.read().split("\n")
-    # A well-formed journal ends with "\n", so split leaves a final "".
-    tail = len(lines) - 1
-    while tail >= 0 and not lines[tail].strip():
-        tail -= 1
-    for number, line in enumerate(lines[: tail + 1]):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            if number == tail:
-                torn += 1
-            else:
-                raise SessionError(
-                    "%s:%d: corrupt journal line (not a torn tail)"
-                    % (path, number + 1))
-    return records, torn
 
 
 # ----------------------------------------------------------------------
@@ -460,13 +407,6 @@ def result_to_doc(result, images):
                    "seed_id": jsonable(h.seed_id)} for h in result.hangs],
         "corpus_seeds": jsonable(result.corpus_seeds),
         "worker_stats": [stats.to_dict() for stats in result.worker_stats],
-        "pending_validation": [
-            {"kind": r.kind, "key": jsonable(list(r.dedup_key())),
-             "image": None if r.crash_image is None
-             else ImageStore.ref_for(r.crash_image)}
-            for r in list(result.inconsistencies)
-            + list(result.sync_inconsistencies)
-            if r.verdict is Verdict.PENDING],
     }
 
 
@@ -542,15 +482,14 @@ class Session:
     """One durable fuzzing session rooted at a directory.
 
     Use :meth:`open` — it creates a fresh session or, with
-    ``resume=True``, validates and loads an existing one. All journal
-    and checkpoint writes go through the fault injector; ``ENOSPC``
-    (real or injected) never aborts the run — the session degrades
-    (``write_errors`` counts, the last committed checkpoint stays
-    intact) while fuzzing continues.
+    ``resume=True``, validates and loads an existing one. All checkpoint
+    writes go through the fault injector; ``ENOSPC`` (real or injected)
+    never aborts the run — the session degrades (``write_errors``
+    counts, the last committed checkpoint stays intact, the units it
+    lacks re-run on resume) while fuzzing continues.
     """
 
     MANIFEST = "MANIFEST.json"
-    JOURNAL = "journal.jsonl"
     CHECKPOINT = "checkpoint.json"
 
     def __init__(self, directory, manifest, fault=None, tracer=None,
@@ -563,14 +502,9 @@ class Session:
         self.metrics = metrics
         self.images = ImageStore(os.path.join(directory, "images"),
                                  fault=self.fault)
-        self.corpus_dir = os.path.join(directory, "corpus")
-        self.journal_path = os.path.join(directory, self.JOURNAL)
         self.checkpoint_path = os.path.join(directory, self.CHECKPOINT)
         self.resumed = False
-        self.journal_torn_lines = 0
         self.write_errors = 0
-        self.checkpoints_written = 0
-        self._journal = []
         self._checkpoint_units = []
 
     # ------------------------------------------------------------------
@@ -602,11 +536,8 @@ class Session:
             os.makedirs(directory, exist_ok=True)
             atomic_write_json(manifest_path, wanted,
                               point="manifest_write")
-            session = cls(directory, wanted, fault=fault, tracer=tracer,
-                          metrics=metrics)
-            session._append({"type": "session_open", "kind": kind,
-                             "target": target})
-            return session
+            return cls(directory, wanted, fault=fault, tracer=tracer,
+                       metrics=metrics)
         try:
             with open(manifest_path) as handle:
                 manifest = json.load(handle)
@@ -631,46 +562,13 @@ class Session:
 
     def _load_existing(self):
         self.resumed = True
-        self._journal, self.journal_torn_lines = \
-            read_journal(self.journal_path)
-        if self.journal_torn_lines:
-            self._count("session.journal.torn", self.journal_torn_lines)
         doc = self._read_checkpoint_doc()
         self._checkpoint_units = list(doc.get("units", [])) if doc else []
-        self._append({"type": "session_resume",
-                      "journal_records": len(self._journal),
-                      "torn_lines": self.journal_torn_lines})
-
-    # ------------------------------------------------------------------
-    # journal
-
-    def _append(self, record):
-        try:
-            append_jsonl(self.journal_path, record, fault=self.fault)
-        except OSError:
-            self.write_errors += 1
-            self._count("session.write_errors")
-
-    def record_unit(self, worker_id, seed, status, campaigns=0):
-        """Journal one finished work unit (after its checkpoint)."""
-        entry = {"type": "unit", "worker_id": int(worker_id),
-                 "seed": int(seed), "status": status,
-                 "campaigns": int(campaigns)}
-        self._journal.append(entry)
-        self._append(entry)
-        self._count("session.units")
-
-    def unit_records(self):
-        return [r for r in self._journal if r.get("type") == "unit"]
 
     def done_units(self):
-        """Worker ids whose session finished, whatever its status — the
-        union of journaled units and units embedded in the committed
-        checkpoint (covers a crash between checkpoint write and journal
-        append)."""
-        done = {r["worker_id"] for r in self.unit_records()}
-        done.update(self._checkpoint_units)
-        return done
+        """Worker ids whose session finished, whatever its status: the
+        units the committed checkpoint lists, and nothing else."""
+        return set(self._checkpoint_units)
 
     # ------------------------------------------------------------------
     # checkpoint
@@ -690,12 +588,10 @@ class Session:
             atomic_write_json(self.checkpoint_path, doc, fault=self.fault,
                               point="checkpoint_write")
             self._checkpoint_units = doc["units"]
-            self._sync_corpus_dir(result)
         except OSError:
             self.write_errors += 1
             self._count("session.write_errors")
             return False
-        self.checkpoints_written += 1
         self._count("session.checkpoints")
         if self.tracer.enabled:
             self.tracer.emit("session_checkpoint", dir=self.directory,
@@ -724,20 +620,6 @@ class Session:
             return None
         return result_from_doc(doc, self.images, config,
                                target_name=self.manifest["target"])
-
-    def _sync_corpus_dir(self, result):
-        """Mirror the merged corpus as digest-named JSON files (the
-        ``--corpus-dir`` format), written atomically."""
-        if not result.corpus_seeds:
-            return
-        os.makedirs(self.corpus_dir, exist_ok=True)
-        for entry in result.corpus_seeds:
-            path = os.path.join(self.corpus_dir,
-                                entry["digest"] + ".json")
-            if os.path.exists(path):
-                continue
-            atomic_write_json(path, entry, fault=self.fault,
-                              point="corpus_write")
 
     # ------------------------------------------------------------------
     # resume-side validation

@@ -115,11 +115,6 @@ def summarize_records(records):
             if record.get("schema") != SCHEMA_VERSION:
                 raise ValueError("unsupported metrics schema %r"
                                  % (record.get("schema"),))
-        elif rtype == "metrics_snapshot":
-            for name, instrument in record.get("metrics", {}).items():
-                summary["metrics"][name] = {
-                    key: value for key, value in instrument.items()
-                    if key != "name"}
     if first_cov is not None:
         summary["coverage"] = {
             "branch_first": first_cov[0], "branch_last": last_cov[0],

@@ -39,7 +39,7 @@ EVENT_TYPES = frozenset({
     "validate_upgrade",  # a PENDING record received a duplicate's image
     "worker",            # parallel service absorbed one worker attempt
     "session_checkpoint",  # durable session: merged checkpoint committed
-    "session_resume",    # durable session: resumed from journal+checkpoint
+    "session_resume",    # durable session: resumed from its checkpoint
     "replay_start",      # repro replay: one bundle re-execution begins
     "replay_divergence", # ... the schedule diverged (first mismatch)
     "replay_end",        # ... ends; carries the reproduction verdict
@@ -47,7 +47,6 @@ EVENT_TYPES = frozenset({
     "shrink_done",       # ... minimization finished (size summary)
     "span_begin",        # explicit span (paired with span_end)
     "span_end",
-    "metrics_snapshot",  # embedded metrics dump
 })
 
 #: Fields every record must carry.
@@ -184,10 +183,6 @@ class Tracer(NullTracer):
         if self._owns_handle:
             self._handle.close()
         self._handle = None
-
-    def emit_metrics(self, metrics):
-        """Embed a metrics snapshot into the trace."""
-        self.emit("metrics_snapshot", metrics=metrics.snapshot())
 
 
 # ----------------------------------------------------------------------

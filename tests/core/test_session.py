@@ -1,4 +1,4 @@
-"""Durable session layer: journal, checkpoints, recovery, fault injection.
+"""Durable session layer: checkpoints, recovery, fault injection.
 
 Everything here runs in-process against real pmring/Toy engine sessions —
 faults are injected through :class:`FaultInjector` rather than real
@@ -13,7 +13,7 @@ import zlib
 
 import pytest
 
-from repro.core import PMRaceConfig, fuzz_parallel
+from repro.core import PMRaceConfig, RunResult, WorkerStats, fuzz_parallel
 from repro.core.session import (
     FAULT_ENV,
     FaultInjector,
@@ -21,9 +21,7 @@ from repro.core.session import (
     InjectedFault,
     Session,
     SessionError,
-    append_jsonl,
     atomic_write_json,
-    read_journal,
     record_from_doc,
     record_to_doc,
     result_fingerprint,
@@ -69,17 +67,32 @@ def run_session(directory, seeds=(7, 13), config=None, session=None):
 class TestFaultInjector:
     def test_parses_env_specs(self):
         fault = FaultInjector.from_env(
-            {FAULT_ENV: "checkpoint_write:torn:2, journal_append:enospc"})
+            {FAULT_ENV: "checkpoint_write:torn:2, image_write:enospc"})
         assert bool(fault)
         assert fault.check("checkpoint_write") is None   # countdown 2->1
         assert fault.check("checkpoint_write") == "torn"
         with pytest.raises(OSError):
-            fault.check("journal_append")
+            fault.check("image_write")
         # Arms are one-shot: both have fired.
         assert fault.check("checkpoint_write") is None
-        assert fault.check("journal_append") is None
+        assert fault.check("image_write") is None
         assert fault.fired == [("checkpoint_write", "torn"),
-                               ("journal_append", "enospc")]
+                               ("image_write", "enospc")]
+
+    def test_two_arms_on_one_point_count_every_hit(self):
+        """Each arm counts every hit of its point, including the hits
+        on which another arm fires."""
+        fault = FaultInjector(["p:enospc:2", "p:crash:3"])
+        assert fault.check("p") is None
+        with pytest.raises(OSError):
+            fault.check("p")
+        with pytest.raises(InjectedFault):
+            fault.check("p")
+        assert fault.fired == [("p", "enospc"), ("p", "crash")]
+        fault = FaultInjector(["p:torn:1", "p:crash:2"])
+        assert fault.check("p") == "torn"
+        with pytest.raises(InjectedFault):
+            fault.check("p")
 
     def test_empty_env_is_inert(self):
         fault = FaultInjector.from_env({})
@@ -126,27 +139,6 @@ class TestDurableWrites:
             atomic_write_json(path, {"v": 2}, fault=fault)
         with open(path) as handle:
             assert json.load(handle) == {"v": 1}
-
-    def test_journal_tolerates_torn_tail(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        append_jsonl(path, {"n": 1})
-        append_jsonl(path, {"n": 2})
-        fault = FaultInjector(["journal_append:torn"])
-        with pytest.raises(InjectedFault):
-            append_jsonl(path, {"n": 3, "pad": "y" * 64}, fault=fault)
-        records, torn = read_journal(path)
-        assert records == [{"n": 1}, {"n": 2}]
-        assert torn == 1
-
-    def test_journal_rejects_corruption_before_tail(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        with open(path, "w") as handle:
-            handle.write('{"n": 1}\nGARBAGE\n{"n": 2}\n')
-        with pytest.raises(SessionError):
-            read_journal(path)
-
-    def test_missing_journal_is_empty(self, tmp_path):
-        assert read_journal(str(tmp_path / "nope.jsonl")) == ([], 0)
 
 
 class TestImageStore:
@@ -251,25 +243,27 @@ class TestSessionLifecycle:
         with pytest.raises(SessionError, match="schema"):
             open_session(tmp_path, resume=True)
 
-    def test_done_units_is_union_of_journal_and_checkpoint(self, tmp_path):
-        """A crash between checkpoint write and journal append leaves
-        the checkpoint ahead of the journal; the unit must still count
-        as done (never re-merged, never lost)."""
-        session, result = run_session(tmp_path)
-        # Simulate the torn window: drop the journal's unit lines but
-        # keep the checkpoint (which embeds its units).
-        with open(session.journal_path, "w") as handle:
-            handle.write(json.dumps({"type": "session_open"}) + "\n")
-        resumed = open_session(tmp_path, resume=True)
-        assert resumed.done_units() == {0, 1}
+    def test_fresh_session_dir_holds_manifest_checkpoint_images(
+            self, tmp_path):
+        run_session(tmp_path)
+        assert sorted(os.listdir(str(tmp_path))) == \
+            ["MANIFEST.json", "checkpoint.json", "images"]
 
     def test_failed_units_are_done(self, tmp_path):
-        """A failed unit is finished: resume reports it, never re-runs
-        it under its seed or any other."""
+        """A failed unit is finished once a checkpoint lists it: resume
+        reports it and never re-runs it under its seed or any other."""
         session = open_session(tmp_path)
-        session.record_unit(0, 7, "failed")
-        session.record_unit(1, 13, "ok", campaigns=8)
-        assert session.done_units() == {0, 1}
+        result = RunResult("pmring", small_config())
+        result.worker_stats = [WorkerStats(0, 7).fail("boom"),
+                               WorkerStats(1, 13).fail("boom")]
+        assert session.write_checkpoint(result, {0, 1})
+        resumed = open_session(tmp_path, resume=True)
+        assert resumed.done_units() == {0, 1}
+        again = fuzz_session(resumed)
+        assert again.campaigns == 0
+        assert [(stats.seed, stats.status)
+                for stats in again.worker_stats] == \
+            [(7, "failed"), (13, "failed")]
 
 
 class TestCheckpointRoundTrip:
@@ -327,14 +321,6 @@ class TestCheckpointRoundTrip:
         assert result_fingerprint(restored) == result_fingerprint(result)
         assert not hasattr(restored, "profile")
 
-    def test_corpus_dir_mirrors_merged_corpus(self, tmp_path):
-        session, result = run_session(tmp_path)
-        digests = {entry["digest"] for entry in result.corpus_seeds}
-        assert digests
-        on_disk = {name[:-5] for name in
-                   os.listdir(os.path.join(str(tmp_path), "corpus"))}
-        assert digests <= on_disk
-
 
 class TestFaultContainment:
     def test_enospc_during_checkpoint_keeps_previous(self, tmp_path):
@@ -368,13 +354,31 @@ class TestFaultContainment:
 
     def test_crash_resume_matches_uninterrupted_golden(self, tmp_path):
         _, golden = run_session(tmp_path / "golden")
-        fault = FaultInjector(["journal_append:crash:2"])
+        fault = FaultInjector(["checkpoint_write:crash:2"])
         chaos = open_session(tmp_path / "chaos", fault=fault)
         with pytest.raises(InjectedFault):
             fuzz_session(chaos)
         resumed = open_session(tmp_path / "chaos", resume=True)
         result = fuzz_session(resumed)
         assert result.interrupted is None
+        assert result_fingerprint(result) == result_fingerprint(golden)
+
+    def test_failed_checkpoint_then_crash_resumes_to_golden(self, tmp_path):
+        """ENOSPC on the unit-1 checkpoint, then a crash at the final
+        one: the committed checkpoint holds unit 0 only, so resume
+        re-runs unit 1 instead of losing it."""
+        _, golden = run_session(tmp_path / "golden")
+        fault = FaultInjector(["checkpoint_write:crash:3",
+                               "checkpoint_write:enospc:2"])
+        chaos = open_session(tmp_path / "chaos", fault=fault)
+        with pytest.raises(InjectedFault):
+            fuzz_session(chaos)
+        assert chaos.write_errors == 1
+        resumed = open_session(tmp_path / "chaos", resume=True)
+        assert resumed.done_units() == {0}
+        result = fuzz_session(resumed)
+        assert result.interrupted is None
+        assert result.campaigns == 16
         assert result_fingerprint(result) == result_fingerprint(golden)
 
     def test_resume_skips_finished_units(self, tmp_path):

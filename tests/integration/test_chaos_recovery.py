@@ -80,7 +80,7 @@ class TestFaultPointKillResume:
 
     @pytest.mark.parametrize("fault", [
         "checkpoint_write:kill:1",   # mid first unit checkpoint
-        "journal_append:kill:2",     # after checkpoint, before journal
+        "checkpoint_write:kill:2",   # mid second unit checkpoint
         "checkpoint_write:kill:3",   # mid final checkpoint
     ])
     def test_parallel_kill_resume_equivalence(self, tmp_path, fault):
@@ -107,13 +107,27 @@ class TestFaultPointKillResume:
         golden = _golden(tmp_path)
         chaos_dir = tmp_path / "chaos"
         first = _run(_cmd(chaos_dir),
-                     fault="journal_append:kill:2")
+                     fault="checkpoint_write:kill:2")
         assert first.returncode == -signal.SIGKILL
         second = _run(_cmd(chaos_dir, resume=True),
                       fault="checkpoint_write:kill:1")
         assert second.returncode == -signal.SIGKILL
         final = _run(_cmd(chaos_dir, resume=True))
         assert final.returncode == 0, final.stderr
+        assert _fingerprint(chaos_dir) == golden
+
+    def test_failed_checkpoint_then_kill_resumes_to_golden(self, tmp_path):
+        """ENOSPC drops the unit-1 checkpoint and the final one is
+        killed: the committed checkpoint lacks unit 1, so the resume
+        must run it again rather than report it done."""
+        golden = _golden(tmp_path, parallel=0)
+        chaos_dir = tmp_path / "chaos"
+        killed = _run(_cmd(chaos_dir, parallel=0),
+                      fault="checkpoint_write:kill:3,"
+                            "checkpoint_write:enospc:2")
+        assert killed.returncode == -signal.SIGKILL
+        resumed = _run(_cmd(chaos_dir, resume=True, parallel=0))
+        assert resumed.returncode == 0, resumed.stderr
         assert _fingerprint(chaos_dir) == golden
 
     def test_resume_without_flag_is_refused(self, tmp_path):
@@ -135,12 +149,12 @@ def _interrupt_run(tmp_path, signum, parallel=1):
              parallel=parallel),
         env=_env(), stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL)
-    journal = session_dir / "journal.jsonl"
+    manifest = session_dir / "MANIFEST.json"
     deadline = time.monotonic() + 30
     # Wait for the session to open (the guard installs right after), then
     # give the fuzz loop a moment so the signal lands mid-campaign — or,
     # with luck, mid-validation-drain; both must checkpoint cleanly.
-    while not journal.exists():
+    while not manifest.exists():
         assert proc.poll() is None, "run exited before opening a session"
         assert time.monotonic() < deadline, "session never opened"
         time.sleep(0.02)

@@ -44,17 +44,17 @@ from repro.core.session import (  # noqa: E402
     result_from_doc,
 )
 
-#: (point, countdown) pairs ``--mode fault`` draws kill sites from.
-#: journal_append 1 is the session_open line; checkpoint_write N covers
-#: the Nth unit (or final) checkpoint; image/corpus writes land inside a
-#: checkpoint, so a kill there tears the checkpoint mid-flight.
+#: ``REPRO_FAULT_POINT`` specs ``--mode fault`` draws kill sites from.
+#: checkpoint_write N covers the Nth unit (or final) checkpoint; image
+#: writes land inside a checkpoint, so a kill there tears the checkpoint
+#: mid-flight. The compound site fails the first checkpoint with a full
+#: disk and kills the run at the second, so the unit whose checkpoint
+#: never committed must re-run on resume.
 FAULT_SITES = (
-    ("journal_append", 1),
-    ("journal_append", 2),
-    ("checkpoint_write", 1),
-    ("checkpoint_write", 2),
-    ("image_write", 1),
-    ("corpus_write", 1),
+    "checkpoint_write:kill:1",
+    "checkpoint_write:kill:2",
+    "image_write:kill:1",
+    "checkpoint_write:enospc:1,checkpoint_write:kill:2",
 )
 
 
@@ -103,8 +103,7 @@ def run_golden(args, session_dir):
 def _kill_fault(args, session_dir, rng):
     """One kill via the fault injector; returns True if the process
     actually died to the injected SIGKILL (vs. finishing first)."""
-    point, count = rng.choice(FAULT_SITES)
-    spec = "%s:kill:%d" % (point, count)
+    spec = rng.choice(FAULT_SITES)
     resume = os.path.exists(os.path.join(session_dir, "MANIFEST.json"))
     proc = subprocess.run(_repro_cmd(args, session_dir, resume=resume),
                           env=_env({FAULT_ENV: spec}),
