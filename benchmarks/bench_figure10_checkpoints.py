@@ -13,11 +13,11 @@ import time
 
 import pytest
 
-from repro.core import OperationMutator, run_campaign
+from repro.core import OperationMutator, PMRaceConfig, run_campaign
 from repro.core.checkpoints import StateProvider
 from repro.core.results import render_table
 from repro.runtime import SeededRandomPolicy
-from repro.targets import TARGET_CLASSES
+from repro.targets import BUILTIN_TARGET_CLASSES
 
 from conftest import emit
 
@@ -30,19 +30,19 @@ def measure(target, use_checkpoints):
     mutator = OperationMutator(target.operation_space(), n_threads=2,
                                ops_per_thread=4)
     seed = mutator.initial_seed()
+    config = PMRaceConfig(snapshot_images=False)
     start = time.monotonic()
     for index in range(ROUNDS):
         state = provider.provide()
         run_campaign(target, state, seed.threads,
-                     SeededRandomPolicy(index), snapshot_images=False,
-                     capture_stacks=False)
+                     SeededRandomPolicy(index), config)
     elapsed = time.monotonic() - start
     return ROUNDS / elapsed
 
 
 def run_figure10():
     rows = []
-    for cls in TARGET_CLASSES:
+    for cls in BUILTIN_TARGET_CLASSES:
         target = cls()
         without = measure(target, use_checkpoints=False)
         with_cp = measure(target, use_checkpoints=True)

@@ -43,8 +43,7 @@ OVERHEAD_BUDGET = 0.05
 def measure(processes):
     """Merged campaigns per wall-clock second at one pool size."""
     config = PMRaceConfig(max_campaigns=CAMPAIGNS_PER_WORKER, max_seeds=6,
-                          snapshot_images=False, capture_stacks=False,
-                          validate=False)
+                          snapshot_images=False, validate=False)
     start = time.monotonic()
     merged = fuzz_parallel(TARGET, config, seeds=SEEDS,
                            processes=processes)
@@ -100,8 +99,7 @@ def check_and_emit(rows):
 def _measure_once(session_dir):
     """Wall clock for the fixed workload, durably or not."""
     config = PMRaceConfig(max_campaigns=CAMPAIGNS_PER_WORKER, max_seeds=6,
-                          snapshot_images=False, capture_stacks=False,
-                          validate=False)
+                          snapshot_images=False, validate=False)
     session = None
     if session_dir is not None:
         session = Session.open(session_dir, TARGET, "parallel", SEEDS,

@@ -17,7 +17,7 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.core import PMRaceConfig, fuzz_parallel  # noqa: E402
-from repro.targets import TARGET_CLASSES  # noqa: E402
+from repro.targets import BUILTIN_TARGET_CLASSES  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -44,7 +44,7 @@ def fuzz_all_targets():
     """Fuzz every Table 1 target once (cached for the session)."""
     if "paper" not in _cache:
         results = {}
-        for cls in TARGET_CLASSES:
+        for cls in BUILTIN_TARGET_CLASSES:
             config = PMRaceConfig(max_seeds=20, **BUDGETS[cls.NAME])
             results[cls.NAME] = fuzz_parallel(cls, config, seeds=SEEDS,
                                               processes=1)

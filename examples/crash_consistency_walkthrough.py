@@ -40,8 +40,9 @@ def main():
     table = CallSiteTable()
 
     # profiling pass: discover the shared sibling-pointer access sites
+    config = PMRaceConfig()
     profile = run_campaign(target, state, [filler + splitter, chaser],
-                           SeededRandomPolicy(1), callsites=table)
+                           SeededRandomPolicy(1), config, callsites=table)
     sibling_groups = [
         (addr, info) for addr, info in profile.profiler.profile.items()
         if all("_split_leaf" in table.name(site) for site in info["stores"])
@@ -59,7 +60,7 @@ def main():
     for seed in range(1, 12):
         state = target.setup()
         result = run_campaign(target, state, [filler + splitter, chaser],
-                              SeededRandomPolicy(seed), entry=entry,
+                              SeededRandomPolicy(seed), config, entry=entry,
                               rng=random.Random(seed), callsites=table)
         inter = [r for r in result.checker.inter_inconsistencies
                  if "_split_leaf" in r.write_instr]

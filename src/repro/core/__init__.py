@@ -17,7 +17,8 @@ from .corpus import (
     minimize_by_coverage,
     seed_digest,
 )
-from .engine import HangRecord, PMRace, PMRaceConfig, RunResult
+from .config import PMRaceConfig
+from .engine import HangRecord, PMRace, RunResult
 from .inputgen import AflByteMutator, OperationMutator, Seed
 from .parallel import ParallelFuzzService, WorkerStats, fuzz_parallel
 from .priority import SharedAccessEntry, SharedAccessQueue

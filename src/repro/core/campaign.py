@@ -40,12 +40,9 @@ class CampaignResult:
                    len(self.checker.sync_inconsistencies)))
 
 
-def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
-                 initial_skips=None, writer_waiting=150, taint_enabled=True,
-                 snapshot_images=True, capture_stacks=True,
-                 max_steps=30_000, spin_hang_limit=400, extra_observers=(),
-                 metrics=None, callsites=None, evict_fraction=0.0,
-                 evict_rng=None, carriers=None):
+def run_campaign(target, state, seed_threads, policy, config, entry=None,
+                 rng=None, initial_skips=None, extra_observers=(),
+                 metrics=None, callsites=None, evict_rng=None, carriers=None):
     """Execute one campaign; returns a :class:`CampaignResult`.
 
     Args:
@@ -53,6 +50,10 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
         state: An initialized (fresh or checkpoint-restored) TargetState.
         seed_threads: List of per-thread operation lists.
         policy: Scheduling policy instance (already seeded).
+        config: The :class:`~repro.core.config.PMRaceConfig` whose
+            execution settings the campaign runs with (taint, crash
+            images, eviction, the sync-point writer stall, the step
+            budget and the hang threshold).
         entry: Optional SharedAccessEntry enabling sync-point scheduling:
             *interned* instruction ids from the run's CallSiteTable,
             grouped from earlier campaigns' shared-access profile. The
@@ -60,35 +61,33 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
             store sites (or a store to ``entry.addr``) fires.
         rng: RNG for privileged-thread selection.
         initial_skips: Carried-over cond_wait skip counts (Pitfall 3).
-        writer_waiting: Writer stall length after cond_signal.
         metrics: Optional :class:`~repro.obs.metrics.Metrics` registry
             wired into the PM access hooks and the scheduler.
         callsites, carriers: The run-wide :class:`~repro.instrument.
             callsite.CallSiteTable` and :class:`~repro.runtime.scheduler.
             CarrierPool`; standalone campaigns get private ones.
-        evict_fraction: Per-line probability of pre-crash cache eviction
-            applied to the checker's crash images.
-        evict_rng: Campaign RNG for eviction sampling (from the engine so
+        evict_rng: Campaign RNG for the eviction sampling
+            ``config.evict_fraction`` asks for (from the engine so
             eviction patterns follow the campaign seed).
     """
     ctx = InstrumentationContext(annotations=state.annotations,
-                                 taint_enabled=taint_enabled,
-                                 capture_stacks=capture_stacks,
+                                 taint_enabled=config.taint_enabled,
                                  metrics=metrics, callsites=callsites,
                                  trace=[])
     checker = ctx.add_observer(InconsistencyChecker(
-        state.pool, snapshot_images=snapshot_images, callsites=ctx.callsites,
-        evict_fraction=evict_fraction, evict_rng=evict_rng))
+        state.pool, snapshot_images=config.snapshot_images,
+        callsites=ctx.callsites, evict_fraction=config.evict_fraction,
+        evict_rng=evict_rng))
     for observer in extra_observers:
         ctx.add_observer(observer)
-    scheduler = Scheduler(policy, max_steps=max_steps,
-                          spin_hang_limit=spin_hang_limit, metrics=metrics,
-                          carriers=carriers)
+    scheduler = Scheduler(policy, max_steps=config.max_steps,
+                          spin_hang_limit=config.spin_hang_limit,
+                          metrics=metrics, carriers=carriers)
     view = PmView(state.pool, scheduler, ctx)
     controller = None
     if entry is not None:
         controller = SyncPointController(
-            entry, scheduler, rng=rng, writer_waiting=writer_waiting,
+            entry, scheduler, rng=rng, writer_waiting=config.writer_waiting,
             initial_skips=initial_skips, callsites=ctx.callsites)
         ctx.controller = controller
     instance = target.open(state, view, scheduler)
@@ -97,6 +96,7 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
     def make_worker(ops):
         def worker():
             for op in ops:
+                # Record stacks name this line: keep it at line 100.
                 status = target.exec_op(instance, view, op)
                 if status is False:
                     op_errors[0] += 1

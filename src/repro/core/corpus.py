@@ -31,6 +31,7 @@ import os
 
 from ..instrument.callsite import CallSiteTable
 from ..runtime.scheduler import CarrierPool
+from .config import PMRaceConfig
 from .session import atomic_write_json
 
 #: Bump when the per-seed JSON layout changes; files with another
@@ -411,8 +412,8 @@ def measure_seed_coverage(target, seed, base_seed=0, callsites=None,
     provider = make_state_provider(target)
     campaign = run_campaign(target, provider.provide(), seed.threads,
                             SeededRandomPolicy(policy_seed(base_seed, 0)),
-                            taint_enabled=False, snapshot_images=False,
-                            capture_stacks=False,
+                            PMRaceConfig(taint_enabled=False,
+                                         snapshot_images=False),
                             callsites=callsites if callsites is not None
                             else CallSiteTable(), carriers=carriers)
     return set(campaign.branch_edges), set(campaign.alias_pairs)

@@ -30,6 +30,7 @@ from ..runtime.policies import DelayInjectionPolicy, SeededRandomPolicy
 from ..runtime.scheduler import CarrierPool
 from .campaign import run_campaign
 from .checkpoints import make_state_provider
+from .config import PMRaceConfig
 from .corpus import Corpus
 from .coverage import CoverageSet
 from .inputgen import OperationMutator
@@ -45,72 +46,6 @@ def _trace_fields(record):
     return dict(kind=record.kind, read_code=record.read_instr,
                 write_code=record.write_instr,
                 side_effect_addr=record.side_effect_addr)
-
-
-class PMRaceConfig:
-    """Tunables for one fuzzing run. Defaults follow §6.1 where sensible.
-
-    Attributes:
-        mode: "pmrace" (sync-point guided), "delay" (random delay
-            injection baseline), or "random" (plain random scheduler).
-        n_threads: Worker threads per campaign (4 in the paper).
-        enable_interleaving_tier / enable_seed_tier: Figure 9 ablations.
-        coverage_feedback: "both", "branch", or "alias" — which metrics
-            count as progress (alias-coverage ablation).
-    """
-
-    def __init__(self, mode="pmrace", n_threads=4, ops_per_thread=6,
-                 max_campaigns=120, execs_per_interleaving=2,
-                 max_interleavings_per_seed=8, max_seeds=40,
-                 use_checkpoints=None, enable_interleaving_tier=True,
-                 enable_seed_tier=True, taint_enabled=True,
-                 snapshot_images=True, capture_stacks=True, validate=True,
-                 writer_waiting=150, max_steps=30_000, spin_hang_limit=400,
-                 coverage_feedback="both", base_seed=0, whitelist=None,
-                 eadr=False, evict_fraction=0.0, capture_repro=False,
-                 corpus_dir=None, target_modules=()):
-        self.mode = mode
-        self.n_threads = n_threads
-        self.ops_per_thread = ops_per_thread
-        self.max_campaigns = max_campaigns
-        self.execs_per_interleaving = execs_per_interleaving
-        self.max_interleavings_per_seed = max_interleavings_per_seed
-        self.max_seeds = max_seeds
-        self.use_checkpoints = use_checkpoints
-        self.enable_interleaving_tier = enable_interleaving_tier
-        self.enable_seed_tier = enable_seed_tier
-        self.taint_enabled = taint_enabled
-        self.snapshot_images = snapshot_images
-        self.capture_stacks = capture_stacks
-        self.validate = validate
-        self.writer_waiting = writer_waiting
-        self.max_steps = max_steps
-        self.spin_hang_limit = spin_hang_limit
-        self.coverage_feedback = coverage_feedback
-        self.base_seed = base_seed
-        self.whitelist = whitelist
-        #: Simulate an eADR platform (persistent caches, §6.6).
-        self.eadr = eadr
-        #: Per-line probability that a DIRTY line was evicted by the
-        #: hardware before a crash point (arbitrary cache eviction,
-        #: §2.1); sampled with a campaign RNG derived from ``base_seed``
-        #: so eviction patterns vary across campaigns and seeds.
-        self.evict_fraction = evict_fraction
-        #: Record a deterministic repro bundle (schedule decision vector,
-        #: RNG draw journals, op lists — :mod:`repro.replay`) for every
-        #: kept inconsistency record. Off by default: capture costs one
-        #: policy wrapper plus per-campaign journaling.
-        self.capture_repro = capture_repro
-        #: Optional on-disk corpus directory (one versioned JSON file per
-        #: retained seed, written atomically): loaded on start, so a
-        #: killed run resumes with its retained corpus.
-        self.corpus_dir = corpus_dir
-        #: Plugin modules (``--target-module`` specs) to import before
-        #: resolving targets by name. Carried in the config so worker
-        #: *processes* (``repro fuzz --parallel N``) can re-register
-        #: dynamically loaded targets in their own interpreter before
-        #: ``make_target`` runs.
-        self.target_modules = tuple(target_modules)
 
 
 class HangRecord:
@@ -533,15 +468,9 @@ class PMRace:
         # Looked up through the module global on every call so a
         # harness can wrap ``engine.run_campaign``.
         campaign = run_campaign(
-            self.target, state, seed.threads, policy, entry=entry,
+            self.target, state, seed.threads, policy, cfg, entry=entry,
             rng=self._priv_rng, initial_skips=dict(seed_skips),
-            writer_waiting=cfg.writer_waiting,
-            taint_enabled=cfg.taint_enabled,
-            snapshot_images=cfg.snapshot_images,
-            capture_stacks=cfg.capture_stacks, max_steps=cfg.max_steps,
-            spin_hang_limit=cfg.spin_hang_limit, metrics=self.metrics,
-            callsites=self._callsites,
-            evict_fraction=cfg.evict_fraction,
+            metrics=self.metrics, callsites=self._callsites,
             evict_rng=self._evict_rng, carriers=self._carriers)
         result.campaigns += 1
         if self._campaign_counter is not None:

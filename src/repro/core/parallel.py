@@ -8,9 +8,12 @@ session per seed, run by a persistent worker pool or in-process with
 matrix run), with the guarantees a long campaign needs:
 
 * **Streaming merge** — per-worker :class:`~repro.core.engine.RunResult`s
-  are folded into a *fresh* merged result as they complete (workers'
-  own result objects are never mutated), so partial findings are visible
-  to the ``progress`` callback long before the slowest worker finishes.
+  are folded into a *fresh* merged result in worker (seed) order, each
+  as soon as it and every earlier worker have finished (workers' own
+  result objects are never mutated), so partial findings reach the
+  ``progress`` callback before the slowest worker finishes, and bug
+  report numbers and the worker list do not depend on which worker
+  happened to finish first.
 * **Fault tolerance** — a worker that raises, exceeds ``worker_timeout``
   (measured from the worker's own execution start so queueing behind a
   busy pool never counts against the budget), or *dies outright*
@@ -165,7 +168,7 @@ def _run_worker(payload, tracer=None, metrics=None):
 
     When the config has ``capture_repro`` on, the records inside the
     returned RunResult carry their repro bundles (plain-data JSON
-    documents) across the pickle boundary; the merge in ``_absorb``
+    documents) across the pickle boundary; the merge in ``_fold``
     adopts a duplicate's bundle for any bundle-less kept record, same
     as crash images.
     """
@@ -253,6 +256,10 @@ class ParallelFuzzService:
                                 copy.deepcopy(config)
                                 if config is not None else PMRaceConfig())
         self._units = set()
+        #: Worker ids not folded in yet, dispatch order, and the finished
+        #: outcomes waiting for an earlier worker (see :meth:`_absorb`).
+        self._unfolded = []
+        self._finished = {}
 
     # ------------------------------------------------------------------
 
@@ -276,8 +283,10 @@ class ParallelFuzzService:
                 self.metrics.counter("session.resume.skipped").inc(
                     len(done))
         self._units = set(done)
-        return [_Job(index, seed) for index, seed in enumerate(self.seeds)
+        jobs = [_Job(index, seed) for index, seed in enumerate(self.seeds)
                 if index not in done]
+        self._unfolded = [job.worker_id for job in jobs]
+        return jobs
 
     def run(self):
         jobs = self._initial_jobs()
@@ -306,6 +315,10 @@ class ParallelFuzzService:
             if self.session is None:
                 raise
             interrupted = signal.SIGINT
+        # An interrupted run may leave finished workers waiting behind an
+        # unfinished one; fold them so the final checkpoint keeps them.
+        for worker_id in sorted(self._finished):
+            self._fold(self._finished.pop(worker_id))
         self.merged._regroup()
         if self.session is not None:
             if interrupted is None:
@@ -339,6 +352,14 @@ class ParallelFuzzService:
         self.session.write_checkpoint(self.merged, self._units)
 
     def _absorb(self, outcome):
+        """Take one finished worker, then fold every finished worker
+        whose predecessors are all folded, in worker order."""
+        self._finished[outcome[0]] = outcome
+        unfolded = self._unfolded
+        while unfolded and unfolded[0] in self._finished:
+            self._fold(self._finished.pop(unfolded.pop(0)))
+
+    def _fold(self, outcome):
         """Fold one finished worker into the merged result."""
         worker_id, seed, status, value = outcome
         stats = WorkerStats(worker_id, seed)

@@ -52,6 +52,7 @@ from ..detect.records import (
 )
 from ..detect.validation_service import image_digest
 from ..obs.tracer import NULL_TRACER, jsonable
+from .config import CONFIG_DIGEST_FIELDS
 
 #: Bump when the manifest / checkpoint layout changes; a
 #: session written by another version refuses to resume.
@@ -60,17 +61,6 @@ SESSION_SCHEMA_VERSION = 1
 #: Environment variable configuring fault injection, e.g.
 #: ``REPRO_FAULT_POINT=checkpoint_write:kill:2``.
 FAULT_ENV = "REPRO_FAULT_POINT"
-
-#: Config fields folded into the manifest's compatibility digest. The
-#: digest detects *behavioural* divergence between the original run and
-#: a resume — observability and output knobs are deliberately excluded.
-CONFIG_DIGEST_FIELDS = (
-    "mode", "n_threads", "ops_per_thread", "max_campaigns",
-    "execs_per_interleaving", "max_interleavings_per_seed", "max_seeds",
-    "enable_interleaving_tier", "enable_seed_tier", "taint_enabled",
-    "snapshot_images", "validate", "writer_waiting", "max_steps",
-    "spin_hang_limit", "coverage_feedback", "eadr", "evict_fraction",
-)
 
 
 class SessionError(ValueError):

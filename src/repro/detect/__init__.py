@@ -30,12 +30,6 @@ from .records import (
     SyncInconsistencyRecord,
     Verdict,
 )
-from .state_table import (
-    PM_CLEAN,
-    PM_DIRTY,
-    PM_PENDING,
-    PersistencyStateTable,
-)
 from .whitelist import DEFAULT_WHITELIST, Whitelist
 
 __all__ = [
@@ -51,10 +45,6 @@ __all__ = [
     "report_to_dict",
     "save_whitelist",
     "load_whitelist",
-    "PersistencyStateTable",
-    "PM_CLEAN",
-    "PM_DIRTY",
-    "PM_PENDING",
     "PostFailureValidator",
     "ReplayResult",
     "ValidationQueue",

@@ -205,7 +205,7 @@ class PostFailureValidator:
         recorder = WriteRecorder()
         budget = _ReplayBudget(self.replay_max_steps,
                                self.replay_max_seconds)
-        ctx = InstrumentationContext(capture_stacks=False)
+        ctx = InstrumentationContext()
         ctx.add_observer(recorder)
         ctx.add_observer(budget)
         view = PmView(pool, None, ctx)
@@ -334,7 +334,7 @@ class PostFailureValidator:
             return ""
         scheduler = Scheduler(RoundRobinPolicy(), max_steps=20_000,
                               spin_hang_limit=200)
-        ctx = InstrumentationContext(capture_stacks=False)
+        ctx = InstrumentationContext()
         view = PmView(pool, scheduler, ctx)
         scheduler.spawn(lambda: probe(pool, view), "probe")
         outcome = scheduler.run()

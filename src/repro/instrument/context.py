@@ -42,11 +42,6 @@ class InstrumentationContext:
         annotations: Optional :class:`~repro.instrument.annotations.
             AnnotationRegistry` of the target.
         taint_enabled: Disable to measure the taint ablation.
-        capture_stacks: Hand the events of loads that see non-persisted
-            writers, and of all stores, the frame their stack walk starts
-            from, so every candidate, inconsistency and sync record
-            carries a stack (needed by the whitelist and bug reports).
-            The checker walks a frame only when the event mints a record.
         metrics: Optional :class:`~repro.obs.metrics.Metrics` registry;
             hooks bind their counters from it once at construction, so
             the disabled path costs one None-check per access.
@@ -60,12 +55,10 @@ class InstrumentationContext:
             one and folds it once the run is over.
     """
 
-    def __init__(self, annotations=None, taint_enabled=True,
-                 capture_stacks=True, metrics=None, callsites=None,
-                 trace=None):
+    def __init__(self, annotations=None, taint_enabled=True, metrics=None,
+                 callsites=None, trace=None):
         self.annotations = annotations
         self.taint_enabled = taint_enabled
-        self.capture_stacks = capture_stacks
         self.metrics = metrics
         self.callsites = callsites if callsites is not None \
             else CallSiteTable()

@@ -133,8 +133,7 @@ class PmView:
         if self._on_load or (writers and self._on_dirty_load):
             minted = ctx.dispatch_load(PmAccessEvent(
                 "load", addr_int, size, value, thread, instr, (), writers,
-                frame=sys._getframe(2) if writers and ctx.capture_stacks
-                else None,
+                frame=sys._getframe(2) if writers else None,
             ))
         else:
             minted = EMPTY
@@ -187,7 +186,7 @@ class PmView:
             ctx.dispatch_store(PmAccessEvent(
                 "ntstore" if ntstore else "store", addr_int, size, value,
                 thread, instr, (), (), taint, addr_taint, same_value,
-                sys._getframe(2) if ctx.capture_stacks else None,
+                sys._getframe(2),
             ), annotation)
         if ctx.controller is not None and thread is not None:
             ctx.controller.after_store(addr_int, instr, thread)
@@ -227,7 +226,6 @@ class PmView:
         thread = scheduler.yield_point("op") if scheduler is not None \
             else None
         tid = thread.tid if thread is not None else -1
-        capture = ctx.capture_stacks
         trace = self._trace
         memory = self._memory
         writers = memory.nonpersisted_writers(addr_int, 8)
@@ -238,7 +236,7 @@ class PmView:
         if self._on_load or (writers and self._on_dirty_load):
             minted = ctx.dispatch_load(PmAccessEvent(
                 "load", addr_int, 8, old, thread, instr, (), writers,
-                frame=sys._getframe(1) if writers and capture else None,
+                frame=sys._getframe(1) if writers else None,
             ))
         else:
             minted = EMPTY
@@ -262,7 +260,7 @@ class PmView:
             ctx.dispatch_store(PmAccessEvent(
                 "cas", addr_int, 8, new, thread, instr, (), (), taint,
                 addr_taint,
-                frame=sys._getframe(1) if capture else None,
+                frame=sys._getframe(1),
             ), annotation)
         if ctx.controller is not None and thread is not None:
             ctx.controller.after_store(addr_int, instr, thread)

@@ -25,6 +25,7 @@ instead of replaying garbage.
 
 import json
 
+from ..core.config import CONFIG_FIELDS, FIXED_SETTINGS, PMRaceConfig
 from ..core.session import atomic_write_text
 
 BUNDLE_VERSION = 1
@@ -36,13 +37,6 @@ _REQUIRED = (
     "evict_draws",
 )
 
-#: Config fields serialized into (and reconstructed from) a bundle.
-CONFIG_FIELDS = (
-    "mode", "n_threads", "writer_waiting", "taint_enabled",
-    "snapshot_images", "capture_stacks", "max_steps", "spin_hang_limit",
-    "use_checkpoints", "eadr", "evict_fraction",
-)
-
 
 class BundleError(ValueError):
     """A bundle failed structural validation (wrong version, missing
@@ -51,7 +45,16 @@ class BundleError(ValueError):
 
 def config_snapshot(config):
     """The executable subset of a PMRaceConfig as a JSON-safe dict."""
-    return {field: getattr(config, field) for field in CONFIG_FIELDS}
+    return {field: FIXED_SETTINGS[field] if field in FIXED_SETTINGS
+            else getattr(config, field) for field in CONFIG_FIELDS}
+
+
+def config_from_snapshot(snapshot):
+    """The :class:`PMRaceConfig` a bundle's ``config`` snapshot records;
+    a field the snapshot lacks takes the config's default."""
+    return PMRaceConfig(**{field: snapshot[field] for field in CONFIG_FIELDS
+                           if field in snapshot
+                           and field not in FIXED_SETTINGS})
 
 
 def validate_bundle_data(data):
@@ -66,6 +69,13 @@ def validate_bundle_data(data):
         raise BundleError("unsupported bundle version %r (this build "
                           "understands %d)" % (data["version"],
                                                BUNDLE_VERSION))
+    if not isinstance(data["config"], dict):
+        raise BundleError("config must be a JSON object")
+    for field, value in FIXED_SETTINGS.items():
+        if data["config"].get(field, value) != value:
+            raise BundleError("bundle config has %s=%r; this build runs "
+                              "only %s=%r" % (field, data["config"][field],
+                                              field, value))
     if not all(isinstance(tid, int) for tid in data["schedule"]):
         raise BundleError("schedule must be a list of thread ids")
     if not isinstance(data["ops"], list) or not all(

@@ -33,7 +33,7 @@ from ..runtime.policies import (
     SeededRandomPolicy,
 )
 from ..targets.registry import make_target
-from .bundle import ReproBundle
+from .bundle import ReproBundle, config_from_snapshot
 from .recorder import ReplayRandom
 
 
@@ -104,11 +104,11 @@ def replay_campaign(bundle, ops=None, schedule=None, metrics=None,
         failures: a target exception surfaces as ``status == "error"``
         with the exception on ``run.error``.
     """
-    cfg = bundle.config
+    config = config_from_snapshot(bundle.config)
     run = ReplayRun()
     target = make_target(bundle.target)
-    provider = make_state_provider(target, cfg.get("use_checkpoints"),
-                                   eadr=cfg.get("eadr", False))
+    provider = make_state_provider(target, config.use_checkpoints,
+                                   eadr=config.eadr)
     state = provider.provide()
     callsites = CallSiteTable()
     entry = _reconstruct_entry(bundle, callsites)
@@ -128,16 +128,9 @@ def replay_campaign(bundle, ops=None, schedule=None, metrics=None,
     campaign = run_campaign(
         target, state,
         copy.deepcopy(ops if ops is not None else bundle.ops),
-        policy, entry=entry, rng=priv_rng, initial_skips=skips,
-        writer_waiting=cfg.get("writer_waiting", 150),
-        taint_enabled=cfg.get("taint_enabled", True),
-        snapshot_images=cfg.get("snapshot_images", True),
-        capture_stacks=cfg.get("capture_stacks", True),
-        max_steps=cfg.get("max_steps", 30_000),
-        spin_hang_limit=cfg.get("spin_hang_limit", 400),
-        metrics=metrics, callsites=callsites,
-        evict_fraction=cfg.get("evict_fraction", 0.0),
-        evict_rng=evict_rng, carriers=carriers)
+        policy, config, entry=entry, rng=priv_rng, initial_skips=skips,
+        metrics=metrics, callsites=callsites, evict_rng=evict_rng,
+        carriers=carriers)
     run.campaign = campaign
     run.status = campaign.outcome.status
     run.error = campaign.outcome.error

@@ -15,7 +15,6 @@ from .pclht import PclhtTarget
 from .pmring import PmRingTarget
 from .registry import (
     BUILTIN_TARGET_CLASSES,
-    TARGET_CLASSES,
     DuplicateTargetError,
     TargetModuleError,
     TargetRegistryError,
@@ -46,7 +45,6 @@ __all__ = [
     "PmRingTarget",
     "TxKvTarget",
     "BUILTIN_TARGET_CLASSES",
-    "TARGET_CLASSES",
     "register_target",
     "unregister_target",
     "registered_classes",

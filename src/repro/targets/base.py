@@ -59,7 +59,7 @@ class TargetState:
 
 def raw_view(pool):
     """An uninstrumented view for setup/recovery phases (no observers)."""
-    return PmView(pool, None, InstrumentationContext(capture_stacks=False))
+    return PmView(pool, None, InstrumentationContext())
 
 
 class OperationSpace:

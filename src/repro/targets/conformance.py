@@ -168,7 +168,7 @@ def _check_exec(report, target, state, space):
     # violation — whereas an exception is a conformance failure.
     scheduler = Scheduler(RoundRobinPolicy(), max_steps=50_000,
                           spin_hang_limit=200)
-    ctx = InstrumentationContext(capture_stacks=False)
+    ctx = InstrumentationContext()
     view = PmView(state.pool, scheduler, ctx)
     instance = target.open(state, view, scheduler)
     rng = random.Random(CHECK_SEED + 1)

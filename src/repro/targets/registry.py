@@ -69,11 +69,6 @@ BUILTIN_TARGET_CLASSES = (
     TxKvTarget,
 )
 
-#: Back-compat alias: pre-SDK callers iterated ``TARGET_CLASSES`` for
-#: "every built-in system". Dynamic consumers should prefer
-#: :func:`registered_classes`.
-TARGET_CLASSES = BUILTIN_TARGET_CLASSES
-
 #: name → class, insertion ordered (built-ins first, plugins after).
 _REGISTRY = {}
 

@@ -2,17 +2,18 @@
 
 import pytest
 
-from repro.core import run_campaign
+from repro.core import PMRaceConfig, run_campaign
 from repro.runtime import SeededRandomPolicy
 
 from .toy_target import ToyTarget
 
 
-def run_toy(ops_by_thread, seed=0, **kwargs):
+def run_toy(ops_by_thread, seed=0, config=None, **kwargs):
     target = ToyTarget()
     state = target.setup()
     policy = SeededRandomPolicy(seed)
-    return run_campaign(target, state, ops_by_thread, policy, **kwargs)
+    return run_campaign(target, state, ops_by_thread, policy,
+                        config or PMRaceConfig(), **kwargs)
 
 
 BUMPY = [[{"op": "bump", "key": 0}] * 3 for _ in range(3)]
@@ -56,7 +57,8 @@ class TestRunCampaign:
         assert a.alias_pairs == b.alias_pairs
 
     def test_taint_can_be_disabled(self):
-        result = run_toy(BUMPY, seed=5, taint_enabled=False)
+        result = run_toy(BUMPY, seed=5,
+                         config=PMRaceConfig(taint_enabled=False))
         assert not result.checker.inconsistencies
 
     def test_extra_observers(self):

@@ -235,6 +235,62 @@ class TestMergeIsolation:
             assert payload["error"] is None
 
 
+@pytest.fixture(scope="module")
+def pclht_outcomes():
+    """Two finished P-CLHT workers (seeds 7 and 13, 20 campaigns each)
+    whose merge is order-sensitive: folded in opposite orders, their
+    inter bug reports swap numbers."""
+    from repro.core.parallel import ParallelFuzzService, _run_worker
+    service = ParallelFuzzService("P-CLHT", PMRaceConfig(max_campaigns=20),
+                                  seeds=(7, 13), processes=2)
+    return [_run_worker(service._payload(job))
+            for job in service._initial_jobs()]
+
+
+class TestWorkerOrder:
+    """Workers are folded in worker (seed) order, whichever finishes
+    first."""
+
+    def absorbed(self, outcomes, order):
+        from repro.core.parallel import ParallelFuzzService
+        service = ParallelFuzzService("P-CLHT",
+                                      PMRaceConfig(max_campaigns=20),
+                                      seeds=(7, 13), processes=2)
+        service._initial_jobs()
+        outcomes = copy.deepcopy(outcomes)
+        for index in order:
+            service._absorb(outcomes[index])
+        service.merged._regroup()
+        return service.merged
+
+    def test_completion_order_does_not_matter(self, pclht_outcomes):
+        results = [self.absorbed(pclht_outcomes, order)
+                   for order in ((0, 1), (1, 0))]
+        reports, workers = [], []
+        for result in results:
+            reports.append([(r.bug_id, r.kind, r.write_instr, r.read_instr)
+                            for r in result.bug_reports])
+            workers.append([(s.worker_id, s.seed)
+                            for s in result.worker_stats])
+        assert len({r.kind for r in results[0].bug_reports}) > 1
+        assert reports[0] == reports[1]
+        assert workers[0] == workers[1] == [(0, 7), (1, 13)]
+
+    def test_later_worker_waits_for_earlier(self, pclht_outcomes):
+        from repro.core.parallel import ParallelFuzzService
+        calls = []
+        service = ParallelFuzzService(
+            "P-CLHT", PMRaceConfig(max_campaigns=20), seeds=(7, 13),
+            processes=2,
+            progress=lambda stats, merged: calls.append(stats.seed))
+        service._initial_jobs()
+        outcomes = copy.deepcopy(pclht_outcomes)
+        service._absorb(outcomes[1])
+        assert calls == [] and service.merged.campaigns == 0
+        service._absorb(outcomes[0])
+        assert calls == [7, 13]
+
+
 class TestMergeOffsets:
     """RunResult.merge time/campaign offset semantics."""
 

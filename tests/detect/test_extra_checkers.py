@@ -42,6 +42,16 @@ class TestRedundantFlush:
         assert len(checker.redundant_flushes) == 1
         assert checker.redundant_flushes[0].count == 2
 
+    def test_flush_before_fence_not_flagged(self, setup):
+        # A flushed line stays non-persisted until the fence, so a second
+        # CLWB before it is not a flush of clean data.
+        pool, ctx, view = setup
+        checker = ctx.add_observer(RedundantFlushChecker(pool))
+        view.store_u64(64, 1)
+        view.clwb(64)
+        view.clwb(64)
+        assert not checker.redundant_flushes
+
     def test_end_of_pool_line(self, setup):
         pool, ctx, view = setup
         checker = ctx.add_observer(RedundantFlushChecker(pool))

@@ -266,16 +266,6 @@ class TestLazyStacks:
             assert lazy == eager, kind
             assert "target_code" in table.name(lazy[0])
 
-    def test_no_frame_without_capture(self):
-        pool = PmemPool("lazy", 8192)
-        ctx = InstrumentationContext(capture_stacks=False)
-        recorder = ctx.add_observer(Recorder())
-        view = PmView(pool, None, ctx)
-        view.store_u64(64, 1)
-        view.load_u64(64)
-        view.cas_u64(64, 1, 2)
-        assert all(event.frame is None for event in recorder.events)
-
     def test_clean_load_carries_no_frame(self, setup):
         _pool, _ctx, recorder, view = setup
         view.ntstore_u64(64, 1)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.targets import (
     BUILTIN_TARGET_CLASSES,
-    TARGET_CLASSES,
     DuplicateTargetError,
     Target,
     TargetModuleError,
@@ -30,7 +29,6 @@ BUILTIN_NAMES = PAPER_NAMES + ["pmring", "txkv"]
 class TestRegistry:
     def test_seven_builtin_targets(self):
         assert len(BUILTIN_TARGET_CLASSES) == 7
-        assert TARGET_CLASSES is BUILTIN_TARGET_CLASSES
 
     def test_names_paper_order_first(self):
         assert target_names()[:5] == PAPER_NAMES
@@ -66,11 +64,11 @@ class TestRegistry:
         assert by_name["txkv"]["scope"] == "Key-value store"
 
     def test_libpmem_targets(self):
-        libpmem = [cls.NAME for cls in TARGET_CLASSES if cls.USES_LIBPMEM]
+        libpmem = [cls.NAME for cls in BUILTIN_TARGET_CLASSES if cls.USES_LIBPMEM]
         assert libpmem == ["memcached-pmem", "pmring"]
 
     def test_all_targets_setup(self):
-        for cls in TARGET_CLASSES:
+        for cls in BUILTIN_TARGET_CLASSES:
             state = cls().setup()
             assert state.pool.size > 0
 
