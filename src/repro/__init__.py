@@ -16,29 +16,22 @@ Quickstart::
         print(report.format())
 """
 
+from ._lazy import lazy_exports
 from .core import (
     AflByteMutator,
     OperationMutator,
     PMRace,
     PMRaceConfig,
-    ParallelFuzzService,
     RunResult,
     Seed,
-    WorkerStats,
-    fuzz_parallel,
     run_campaign,
 )
 from .detect import (
     BugReport,
     InconsistencyChecker,
     PostFailureValidator,
-    RedundantFlushChecker,
     Verdict,
     Whitelist,
-    dump_run_result,
-    load_whitelist,
-    save_whitelist,
-    scan_missing_flushes,
 )
 from .instrument import AnnotationRegistry, InstrumentationContext, PmView
 from .obs import Metrics, NullTracer, Tracer
@@ -58,6 +51,16 @@ from .targets import (
     table1_rows,
     target_names,
 )
+
+# Not on the fuzzing path: imported on first use (see repro._lazy).
+__getattr__ = lazy_exports(globals(), {
+    ".core.parallel": ("ParallelFuzzService", "WorkerStats",
+                       "fuzz_parallel"),
+    ".detect.extra_checkers": ("RedundantFlushChecker",
+                               "scan_missing_flushes"),
+    ".detect.reporting": ("dump_run_result", "load_whitelist",
+                          "save_whitelist"),
+})
 
 __version__ = "1.0.0"
 

@@ -36,21 +36,19 @@ the minimized bundle next to the input as ``<name>.min.json``.
 import argparse
 import sys
 
-from .core import PMRaceConfig, fuzz_parallel
-from .core.results import (
-    build_table2,
-    build_table3,
-    build_table5,
-    build_table6,
-    build_worker_table,
-    render_table,
-)
+# ``import repro`` has loaded these already; each subcommand imports the
+# rest of what it needs itself.
+from .core.config import PMRaceConfig
 from .detect.records import Verdict
-from .detect.reporting import dump_run_result, load_whitelist
 from .detect.validation_service import make_validation_queue
-from .obs import Metrics, Tracer, render_stats, summarize_path
-from .targets import make_target, table1_rows, target_names
-from .targets.registry import TargetModuleError, load_target_modules
+from .obs import Metrics, Tracer
+from .targets.registry import (
+    TargetModuleError,
+    load_target_modules,
+    make_target,
+    table1_rows,
+    target_names,
+)
 
 
 def _add_plugin_option(parser):
@@ -94,7 +92,10 @@ def _add_fuzz_options(parser, parallel_flag=True):
 
 
 def _make_config(args):
-    whitelist = load_whitelist(args.whitelist) if args.whitelist else None
+    whitelist = None
+    if args.whitelist:
+        from .detect.reporting import load_whitelist
+        whitelist = load_whitelist(args.whitelist)
     return PMRaceConfig(mode=args.mode, n_threads=args.threads,
                         max_campaigns=args.campaigns, max_seeds=20,
                         whitelist=whitelist, eadr=args.eadr,
@@ -173,6 +174,7 @@ def _fuzz_one(name, args, config=None, tracer=None, metrics=None,
     """Fuzz ``name`` once per ``--seeds`` entry: in-process, or on a pool
     of ``--parallel N`` workers. Only ``fuzz`` takes ``--worker-timeout``;
     a seed that raises is reported, never retried."""
+    from .core.parallel import fuzz_parallel
     return fuzz_parallel(name, config or _make_config(args),
                          seeds=tuple(args.seeds),
                          processes=getattr(args, "parallel", 0) or 1,
@@ -183,6 +185,7 @@ def _fuzz_one(name, args, config=None, tracer=None, metrics=None,
 
 
 def cmd_targets(args):
+    from .core.results import render_table
     print(render_table(table1_rows(),
                        ["system", "version", "scope", "concurrency"],
                        title="Targets (Table 1 + registered plugins)"))
@@ -227,6 +230,7 @@ def _print_findings(result, args):
         print()
         print(report.format())
     if args.output:
+        from .detect.reporting import dump_run_result
         path = dump_run_result(result, args.output)
         print("\nJSON report written to %s" % path)
     _save_repro(result, args)
@@ -241,6 +245,7 @@ def _check_target(name):
 
 
 def cmd_fuzz(args):
+    from .core.results import build_worker_table, render_table
     if not _check_target(args.target):
         return 2
 
@@ -369,6 +374,7 @@ def cmd_corpus(args):
     import os
 
     from .core.corpus import Corpus, minimize_by_coverage
+    from .core.results import render_table
 
     if not os.path.isdir(args.dir):
         print("no corpus directory at %s" % args.dir, file=sys.stderr)
@@ -417,6 +423,7 @@ def cmd_corpus(args):
 
 
 def cmd_stats(args):
+    from .obs.stats import render_stats, summarize_path
     try:
         summary = summarize_path(args.file)
     except (OSError, ValueError) as exc:
@@ -427,6 +434,8 @@ def cmd_stats(args):
 
 
 def cmd_tables(args):
+    from .core.results import (build_table2, build_table3, build_table5,
+                               build_table6, render_table)
     tracer, metrics = _make_obs(args)
     results = {}
     for name in target_names():

@@ -1,13 +1,6 @@
 """PMRace core: PM-aware coverage-guided fuzzing."""
 
-from .bugmatrix import (
-    MATRIX_BUDGETS,
-    matrix_failures,
-    matrix_targets,
-    run_bug_matrix,
-    run_matrix_target,
-    target_matrix_rows,
-)
+from .._lazy import lazy_exports
 from .campaign import CampaignResult, run_campaign
 from .checkpoints import StateProvider, make_state_provider
 from .coverage import CoverageSet, FeedbackCollector
@@ -20,30 +13,23 @@ from .corpus import (
 from .config import PMRaceConfig
 from .engine import HangRecord, PMRace, RunResult
 from .inputgen import AflByteMutator, OperationMutator, Seed
-from .parallel import ParallelFuzzService, WorkerStats, fuzz_parallel
 from .priority import SharedAccessEntry, SharedAccessQueue
 from .seeding import mix_seeds, policy_seed
-from .session import (
-    FaultInjector,
-    Session,
-    SessionError,
-    SessionInterrupted,
-    result_fingerprint,
-)
-from .results import (
-    EXPECTED_BUGS,
-    SEEDED_BUGS,
-    ExpectedBug,
-    build_table2,
-    build_table3,
-    build_table5,
-    build_table6,
-    build_worker_table,
-    expected_bugs_for,
-    match_expected,
-    render_table,
-)
 from .syncpoints import SyncPointController
+
+# Not on the fuzzing path: imported on first use (see repro._lazy).
+__getattr__ = lazy_exports(globals(), {
+    ".bugmatrix": ("MATRIX_BUDGETS", "matrix_failures", "matrix_targets",
+                   "run_bug_matrix", "run_matrix_target",
+                   "target_matrix_rows"),
+    ".parallel": ("ParallelFuzzService", "WorkerStats", "fuzz_parallel"),
+    ".session": ("FaultInjector", "Session", "SessionError",
+                 "SessionInterrupted", "result_fingerprint"),
+    ".results": ("EXPECTED_BUGS", "SEEDED_BUGS", "ExpectedBug",
+                 "build_table2", "build_table3", "build_table5",
+                 "build_table6", "build_worker_table", "expected_bugs_for",
+                 "match_expected", "render_table"),
+})
 
 __all__ = [
     "PMRace",

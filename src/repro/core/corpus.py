@@ -32,7 +32,6 @@ import os
 from ..instrument.callsite import CallSiteTable
 from ..runtime.scheduler import CarrierPool
 from .config import PMRaceConfig
-from .session import atomic_write_json
 
 #: Bump when the per-seed JSON layout changes; files with another
 #: version are skipped at load (never deleted).
@@ -374,6 +373,7 @@ class Corpus:
     def _persist(self, entry):
         if not self.persist_dir:
             return
+        from .session import atomic_write_json
         os.makedirs(self.persist_dir, exist_ok=True)
         path = os.path.join(self.persist_dir, entry.digest + ".json")
         atomic_write_json(path, entry.to_jsonable())

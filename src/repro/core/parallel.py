@@ -41,12 +41,10 @@ factory) so workers can reconstruct them.
 """
 
 import copy
-import multiprocessing
 import os
 import signal
 import time
 import traceback
-from queue import Empty
 
 from ..obs.tracer import NULL_TRACER
 from ..targets.registry import make_target
@@ -410,6 +408,7 @@ class ParallelFuzzService:
 
     def _drain_start_reports(self, start_queue, by_worker):
         """Stamp execution start and pid onto in-flight jobs."""
+        from queue import Empty
         while True:
             try:
                 worker_id, pid, stamp = start_queue.get_nowait()
@@ -432,6 +431,8 @@ class ParallelFuzzService:
             # A resumed session with every unit finished: a default-sized
             # pool would have zero processes.
             return
+        # Imported here: the in-process path never needs it.
+        import multiprocessing
         processes = self.processes or min(len(jobs),
                                           multiprocessing.cpu_count())
         start_queue = multiprocessing.Queue()

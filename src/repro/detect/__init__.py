@@ -1,21 +1,7 @@
 """PM inconsistency checkers, post-failure validation, and bug reports."""
 
+from .._lazy import lazy_exports
 from .checkers import InconsistencyChecker
-from .extra_checkers import (
-    FenceCounter,
-    MissingFlushRecord,
-    RedundantFlushChecker,
-    RedundantFlushRecord,
-    scan_missing_flushes,
-)
-from .reporting import (
-    dump_run_result,
-    load_run_report,
-    load_whitelist,
-    record_to_dict,
-    report_to_dict,
-    save_whitelist,
-)
 from .dedup import group_bugs, unique_key
 from .postfailure import PostFailureValidator, ReplayResult, WriteRecorder
 from .validation_service import (
@@ -31,6 +17,15 @@ from .records import (
     Verdict,
 )
 from .whitelist import DEFAULT_WHITELIST, Whitelist
+
+# Not on the fuzzing path: imported on first use (see repro._lazy).
+__getattr__ = lazy_exports(globals(), {
+    ".extra_checkers": ("FenceCounter", "MissingFlushRecord",
+                        "RedundantFlushChecker", "RedundantFlushRecord",
+                        "scan_missing_flushes"),
+    ".reporting": ("dump_run_result", "load_run_report", "load_whitelist",
+                   "record_to_dict", "report_to_dict", "save_whitelist"),
+})
 
 __all__ = [
     "InconsistencyChecker",

@@ -14,8 +14,8 @@ null path against a run with both sinks attached.
 layer emits (see :mod:`repro.obs.stats`).
 """
 
+from .._lazy import lazy_exports
 from .metrics import Counter, Gauge, Histogram, Metrics, load_metrics
-from .stats import render_stats, summarize_path, summarize_records
 from .tracer import (
     EVENT_TYPES,
     NULL_TRACER,
@@ -25,6 +25,11 @@ from .tracer import (
     read_trace,
     validate_record,
 )
+
+# Read only by ``repro stats``: imported on first use (see repro._lazy).
+__getattr__ = lazy_exports(globals(), {
+    ".stats": ("render_stats", "summarize_path", "summarize_records"),
+})
 
 __all__ = [
     "Tracer",

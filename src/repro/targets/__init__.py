@@ -5,16 +5,9 @@ the registry (:func:`register_target` / ``--target-module``, see
 ``docs/TARGET_SDK.md``) and are checked by :mod:`.conformance`.
 """
 
+from .._lazy import lazy_exports
 from .base import OperationSpace, Target, TargetState, raw_view
-from .cceh import CcehTarget
-from .clevel import ClevelTarget
-from .conformance import check_all, check_target
-from .fastfair import FastFairTarget
-from .memcached import MemcachedOperationSpace, MemcachedTarget
-from .pclht import PclhtTarget
-from .pmring import PmRingTarget
 from .registry import (
-    BUILTIN_TARGET_CLASSES,
     DuplicateTargetError,
     TargetModuleError,
     TargetRegistryError,
@@ -29,7 +22,20 @@ from .registry import (
     target_names,
     unregister_target,
 )
-from .txkv import TxKvTarget
+
+# A session imports only the target it fuzzes (see the registry);
+# the rest is imported on first use (see repro._lazy).
+__getattr__ = lazy_exports(globals(), {
+    ".registry": ("BUILTIN_TARGET_CLASSES",),
+    ".pclht": ("PclhtTarget",),
+    ".clevel": ("ClevelTarget",),
+    ".cceh": ("CcehTarget",),
+    ".fastfair": ("FastFairTarget",),
+    ".memcached": ("MemcachedTarget", "MemcachedOperationSpace"),
+    ".pmring": ("PmRingTarget",),
+    ".txkv": ("TxKvTarget",),
+    ".conformance": ("check_target", "check_all"),
+})
 
 __all__ = [
     "Target",

@@ -84,26 +84,28 @@ class ClevelInstance:
         view = self.view
         for _attempt in range(4):
             _meta, level, capacity = self._level()
+            # Look for the key in the whole probe window before claiming
+            # an empty slot: a delete empties a slot, so the key may sit
+            # past one.
+            empty = None
             for probe in range(PROBE):
                 slot = self._slot(level, capacity, key, probe)
                 word = self._probe_word(slot)
                 slot_key, _ = _unpack(word)
                 if slot_key == key:
-                    ok, _old = view.cas_u64(slot, word, _pack(key, value))
-                    if ok:
-                        view.persist(slot, 8)
-                        return True
                     break
-                if int(word) == 0:
-                    ok, _old = view.cas_u64(slot, 0, _pack(key, value))
-                    if ok:
-                        view.persist(slot, 8)
-                        return True
-                    break
+                if empty is None and int(word) == 0:
+                    empty = slot
             else:
-                if not self._expand():
-                    return False
-                continue
+                if empty is None:
+                    if not self._expand():
+                        return False
+                    continue
+                slot, word = empty, 0
+            ok, _old = view.cas_u64(slot, word, _pack(key, value))
+            if ok:
+                view.persist(slot, 8)
+                return True
         return False
 
     def search(self, key):

@@ -1,14 +1,19 @@
 """Target registry: name → class, open to third-party workloads.
 
 The registry is the plugin boundary of the target SDK
-(``docs/TARGET_SDK.md``): the built-in Table 1 systems register here at
-import time through the same :func:`register_target` call any external
-workload uses, and every consumer — the engine, the CLI, the
+(``docs/TARGET_SDK.md``): every consumer — the engine, the CLI, the
 replay tooling, parallel workers — resolves targets exclusively by
-name through this module. ``--target-module pkg.mod`` (or a
-``path/to/file.py``) on any CLI subcommand funnels into
+name through this module. The built-in Table 1 systems are listed in
+one static table, :data:`BUILTIN_TARGETS`, and are resolved on first
+lookup: :func:`make_target` / :func:`target_class` import only the
+module of the target they are asked for, so a session loads one target,
+not seven. :data:`BUILTIN_TARGET_CLASSES`, :func:`registered_classes`
+and :func:`table1_rows` import all of them. ``--target-module pkg.mod``
+(or a ``path/to/file.py``) on any CLI subcommand funnels into
 :func:`load_target_module`, which imports the module and registers the
-:class:`~repro.targets.base.Target` subclasses it defines.
+:class:`~repro.targets.base.Target` subclasses it defines through the
+same :func:`register_target` call any external workload uses; a plugin
+cannot take a built-in's name, loaded yet or not.
 
 Registration performs only the cheap static contract checks (a unique
 non-empty ``NAME``, a ``Target`` subclass); the executable contract —
@@ -23,13 +28,6 @@ import importlib.util
 import os
 
 from .base import Target
-from .cceh import CcehTarget
-from .clevel import ClevelTarget
-from .fastfair import FastFairTarget
-from .memcached import MemcachedTarget
-from .pclht import PclhtTarget
-from .pmring import PmRingTarget
-from .txkv import TxKvTarget
 
 
 class TargetRegistryError(Exception):
@@ -57,20 +55,22 @@ class TargetModuleError(TargetRegistryError):
     """``--target-module`` could not be imported or defined no targets."""
 
 
-#: The five Table 1 systems in paper order, then the two extension
-#: targets added by the SDK (ring buffer and transactional KV store).
-BUILTIN_TARGET_CLASSES = (
-    PclhtTarget,
-    ClevelTarget,
-    CcehTarget,
-    FastFairTarget,
-    MemcachedTarget,
-    PmRingTarget,
-    TxKvTarget,
-)
+#: Built-in name → (module in this package, class name): the five
+#: Table 1 systems in paper order, then the two extension targets added
+#: by the SDK (ring buffer and transactional KV store).
+BUILTIN_TARGETS = {
+    "P-CLHT": ("pclht", "PclhtTarget"),
+    "clevel hashing": ("clevel", "ClevelTarget"),
+    "CCEH": ("cceh", "CcehTarget"),
+    "FAST-FAIR": ("fastfair", "FastFairTarget"),
+    "memcached-pmem": ("memcached", "MemcachedTarget"),
+    "pmring": ("pmring", "PmRingTarget"),
+    "txkv": ("txkv", "TxKvTarget"),
+}
 
-#: name → class, insertion ordered (built-ins first, plugins after).
-_REGISTRY = {}
+#: name → class, insertion ordered (built-ins first, plugins after); a
+#: built-in maps to None until its first lookup imports it.
+_REGISTRY = dict.fromkeys(BUILTIN_TARGETS)
 
 #: abspath → module, so re-loading a plugin file is idempotent instead
 #: of minting fresh duplicate classes.
@@ -97,7 +97,7 @@ def register_target(cls, replace=False):
         raise TargetRegistryError(
             "%s must override the default NAME %r"
             % (cls.__name__, Target.NAME))
-    existing = _REGISTRY.get(name)
+    existing = target_class(name) if name in _REGISTRY else None
     if existing is not None and existing is not cls and not replace:
         raise DuplicateTargetError(
             "target name %r already registered by %s.%s (pass "
@@ -115,17 +115,27 @@ def unregister_target(name):
         raise UnknownTargetError(_unknown_message(name))
 
 
-for _cls in BUILTIN_TARGET_CLASSES:
-    register_target(_cls)
+def _builtin_class(name):
+    """Import built-in ``name``'s module; its class."""
+    module, class_name = BUILTIN_TARGETS[name]
+    return getattr(importlib.import_module("." + module, __package__),
+                   class_name)
+
+
+def __getattr__(name):
+    if name == "BUILTIN_TARGET_CLASSES":
+        return tuple(_builtin_class(key) for key in BUILTIN_TARGETS)
+    raise AttributeError("module %r has no attribute %r"
+                         % (__name__, name))
 
 
 def registered_classes():
     """Every registered target class, registration order."""
-    return tuple(_REGISTRY.values())
+    return tuple(target_class(name) for name in _REGISTRY)
 
 
 def target_names():
-    return [cls.NAME for cls in _REGISTRY.values()]
+    return list(_REGISTRY)
 
 
 def _unknown_message(name):
@@ -135,9 +145,12 @@ def _unknown_message(name):
 def target_class(name):
     """Look up a target class by name, without instantiating it."""
     try:
-        return _REGISTRY[name]
+        cls = _REGISTRY[name]
     except KeyError:
         raise UnknownTargetError(_unknown_message(name))
+    if cls is None:
+        cls = _REGISTRY[name] = _builtin_class(name)
+    return cls
 
 
 def make_target(name):
@@ -200,7 +213,8 @@ def load_target_module(spec):
     for cls in defined:
         if _REGISTRY.get(cls.NAME) is not cls:
             register_target(cls)
-    if not defined and not any(cls.__module__ == module.__name__
+    if not defined and not any(cls is not None
+                               and cls.__module__ == module.__name__
                                for cls in _REGISTRY.values()):
         raise TargetModuleError(
             "target module %s defines no Target subclasses" % spec)
@@ -226,5 +240,5 @@ def table1_rows():
     return [
         {"system": cls.NAME, "version": cls.VERSION, "scope": cls.SCOPE,
          "concurrency": cls.CONCURRENCY}
-        for cls in _REGISTRY.values()
+        for cls in registered_classes()
     ]

@@ -27,8 +27,8 @@ PINNED = {
     "P-CLHT": (15111, 6057, {"ok": 6},
                {"inter/bug": 5, "intra/bug": 2, "sync/bug": 1,
                 "sync/validated_fp": 3}),
-    "clevel hashing": (6273, 1454, {"ok": 6},
-                       {"inter/validated_fp": 1, "inter/whitelisted_fp": 3,
+    "clevel hashing": (6422, 1059, {"ok": 6},
+                       {"inter/validated_fp": 1, "inter/whitelisted_fp": 2,
                         "intra/validated_fp": 1}),
     "CCEH": (13355, 4283, {"ok": 6}, {"intra/bug": 1, "sync/bug": 1}),
     "FAST-FAIR": (47256, 22360, {"ok": 6}, {}),

@@ -41,6 +41,19 @@ class TestFunctional:
         clevel.insert(0, 1)
         assert clevel.search(0) == 1
 
+    def test_reinsert_past_deleted_slot(self, clevel):
+        # 0 and 16 share a home slot; 1 probes past 16's slot, and once
+        # 16 is deleted, putting 1 again must find it, not claim the
+        # freed slot as a second copy.
+        assert clevel.insert(0, 1)
+        assert clevel.insert(16, 2)
+        assert clevel.insert(1, 3)
+        assert clevel.delete(16)
+        assert clevel.insert(1, 4)
+        assert clevel.search(1) == 4
+        assert clevel.delete(1) is True
+        assert clevel.delete(1) is False
+
     def test_expansion_preserves_items(self, clevel):
         # colliding keys force probes to fill and trigger expansion
         keys = [k * INITIAL_CAPACITY for k in range(8)]

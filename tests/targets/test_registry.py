@@ -4,6 +4,8 @@ import textwrap
 
 import pytest
 
+from repro.detect.validation_service import fresh_target_factory
+from repro.targets import registry
 from repro.targets import (
     BUILTIN_TARGET_CLASSES,
     DuplicateTargetError,
@@ -71,6 +73,66 @@ class TestRegistry:
         for cls in BUILTIN_TARGET_CLASSES:
             state = cls().setup()
             assert state.pool.size > 0
+
+
+class TestLazyBuiltins:
+    """Built-ins are listed in a static table and imported on first
+    lookup; a lookup must behave the same whether or not it has
+    happened yet."""
+
+    @pytest.fixture
+    def unloaded(self, monkeypatch):
+        """Put every built-in back in the not-yet-loaded state."""
+        for name in registry.BUILTIN_TARGETS:
+            monkeypatch.setitem(registry._REGISTRY, name, None)
+
+    def test_table_names_match_class_names(self):
+        assert list(registry.BUILTIN_TARGETS) == BUILTIN_NAMES
+        for name, cls in zip(registry.BUILTIN_TARGETS,
+                             BUILTIN_TARGET_CLASSES):
+            assert cls.NAME == name
+            assert cls.__module__ == "repro.targets." \
+                + registry.BUILTIN_TARGETS[name][0]
+
+    def test_lookup_loads_the_builtin(self, unloaded):
+        assert target_class("CCEH") is BUILTIN_TARGET_CLASSES[2]
+        assert registry._REGISTRY["CCEH"] is BUILTIN_TARGET_CLASSES[2]
+        assert registry._REGISTRY["txkv"] is None
+
+    def test_duplicate_of_unloaded_builtin_rejected(self, unloaded):
+        class Impostor(Target):
+            NAME = "CCEH"
+
+        with pytest.raises(DuplicateTargetError):
+            register_target(Impostor)
+        assert target_class("CCEH") is not Impostor
+        assert target_class("CCEH").__name__ == "CcehTarget"
+
+    def test_plugins_listed_after_builtins(self, unloaded):
+        class Plugin(Target):
+            NAME = "demo-order"
+
+        register_target(Plugin)
+        try:
+            assert target_names() == BUILTIN_NAMES + ["demo-order"]
+            assert [row["system"] for row in table1_rows()] \
+                == BUILTIN_NAMES + ["demo-order"]
+        finally:
+            unregister_target("demo-order")
+
+    def test_unknown_message_lists_every_builtin(self, unloaded):
+        with pytest.raises(UnknownTargetError) as excinfo:
+            make_target("redis")
+        for name in BUILTIN_NAMES:
+            assert name in str(excinfo.value)
+
+    def test_fresh_target_factory_uses_registry(self, unloaded):
+        for name in BUILTIN_NAMES:
+            live = make_target(name)
+            factory = fresh_target_factory(live)
+            assert factory is not type(live)
+            fresh = factory()
+            assert type(fresh) is type(live) and fresh is not live
 
 
 class TestRegistration:
