@@ -43,6 +43,7 @@ import hashlib
 import json
 import os
 import signal
+import zlib
 
 from ..detect.records import (
     CandidateRecord,
@@ -50,7 +51,6 @@ from ..detect.records import (
     SyncInconsistencyRecord,
     Verdict,
 )
-from ..detect.validation_service import image_digest
 from ..obs.tracer import NULL_TRACER, jsonable
 from .config import CONFIG_DIGEST_FIELDS
 
@@ -231,9 +231,9 @@ def atomic_write_json(path, payload, fault=NULL_FAULTS,
 class ImageStore:
     """One file per unique crash image under ``<session>/images/``.
 
-    Images are keyed by the validation service's digest (CRC32 +
-    length), written atomically, and deduplicated — records in the
-    checkpoint reference images as ``"<crc08x>-<len>"`` strings.
+    Images are named by the CRC32 and length of their full contents,
+    written atomically, and deduplicated — records in the checkpoint
+    reference images as ``"<crc08x>-<len>"`` strings.
     """
 
     def __init__(self, directory, fault=NULL_FAULTS):
@@ -245,17 +245,18 @@ class ImageStore:
 
     @staticmethod
     def ref_for(image):
-        return "%08x-%d" % image_digest(image)
+        data = bytes(image)
+        return "%08x-%d" % (zlib.crc32(data) & 0xFFFFFFFF, len(data))
 
     def put(self, image):
         """Store ``image`` (idempotent); returns its reference string."""
-        ref = self.ref_for(image)
+        data = bytes(image)
+        ref = self.ref_for(data)
         path = self._path(ref)
         if os.path.exists(path):
             return ref
         os.makedirs(self.directory, exist_ok=True)
-        atomic_write_bytes(path, bytes(image), fault=self.fault,
-                           point="image_write")
+        atomic_write_bytes(path, data, fault=self.fault, point="image_write")
         return ref
 
     def get(self, ref):

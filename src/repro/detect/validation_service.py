@@ -10,14 +10,15 @@ crash images* instead of records:
   between seeds and at run end (WITCHER-style batching: crash-image
   replay dominates validation wall-clock, so it must not interleave
   with fuzzing).
-* **Digest cache** — each distinct crash image (keyed by CRC32 +
-  length, :func:`image_digest`) is replayed exactly once; its
+* **Digest cache** — each distinct crash image (keyed by its exact
+  contents, :func:`image_digest`) is replayed exactly once; its
   :class:`~repro.detect.postfailure.ReplayResult` (coalesced
   ``WriteRecorder`` intervals + the recovered state for sync-variable
   reads, kept as a line delta over the input image's base) is reused by
-  every record carrying a dedup-equal image. The cache is pure reuse:
-  verdicts are byte-identical to uncached replay, and an entry holds no
-  pool, so it costs what recovery wrote rather than the pool size.
+  every record carrying an equal image. The cache is pure reuse: a hit
+  is an equality of contents, so verdicts are byte-identical to
+  uncached replay, and an entry holds no pool, so it costs what
+  recovery wrote rather than the pool size.
 * **PENDING upgrades** — a record whose first occurrence carried no
   crash image used to be stamped ``PENDING`` forever while dedup-equal
   duplicates (including ones *with* images) were dropped. The queue
@@ -30,28 +31,70 @@ crash images* instead of records:
   exception text captured into ``record.note``.
 """
 
-import zlib
 from collections import deque
+from itertools import groupby
 
 from ..obs.tracer import NULL_TRACER
+from ..pmem.cacheline import CACHE_LINE_SIZE, LINE_SHIFT
 from ..pmem.memory import CrashImage
 from .postfailure import PostFailureValidator
 from .whitelist import Whitelist
 
+#: An image key holds each page of this many bytes that is not all zero.
+KEY_PAGE = 4096
+#: Zero runs of this many bytes are skipped with one comparison before
+#: the pages of a non-zero run are checked.
+KEY_CHUNK = 16 * KEY_PAGE
+_ZEROS = memoryview(bytes(KEY_CHUNK))
+
+
+def _nonzero_pages(data):
+    """``(offset, page)`` for each page of ``bytes`` that is not all zero."""
+    size = len(data)
+    for chunk in range(0, size, KEY_CHUNK):
+        chunk_end = min(chunk + KEY_CHUNK, size)
+        if data.startswith(_ZEROS[:chunk_end - chunk], chunk):
+            continue
+        for page in range(chunk, chunk_end, KEY_PAGE):
+            end = min(page + KEY_PAGE, chunk_end)
+            if not data.startswith(_ZEROS[:end - page], page):
+                yield page, data[page:end]
+
 
 def image_digest(image):
-    """Cheap stable digest of one crash image: (CRC32, length).
+    """Exact content key of one crash image.
 
-    CRC32 over the full image plus the length is collision-safe enough
-    for a per-run cache key (images in one run share layout, differing
-    in scattered words), and an order of magnitude cheaper than a
-    cryptographic hash on the hot path. The digest is content-defined:
-    a :class:`~repro.pmem.memory.CrashImage` digests equal to its
-    ``bytes()``, without materializing them.
+    The key is ``(length, (offset, page), ...)`` with every
+    :data:`KEY_PAGE`-byte page of the image that is not all zero, in
+    address order (the last page may be shorter). Equal images give
+    equal keys and a key determines its image, so a cache hit is an
+    equality of contents. A pool image is mostly zero (a 1 MiB P-CLHT
+    image has 2–6 non-zero pages of 256), and zero pages are found with
+    ``bytes.startswith`` — a ``memcmp`` against zeros, no slice copy —
+    so a key costs one compare pass over the image plus a copy of its
+    non-zero pages, which the cache entry then holds. A
+    :class:`~repro.pmem.memory.CrashImage` keys equal to its ``bytes()``
+    without building them: its base's pages, with the pages its delta
+    lines fall in patched.
     """
-    if isinstance(image, CrashImage):
-        return (image.crc32(), len(image))
-    return (zlib.crc32(image) & 0xFFFFFFFF, len(image))
+    if not isinstance(image, CrashImage):
+        if type(image) is not bytes:
+            image = bytes(image)
+        return (len(image),) + tuple(_nonzero_pages(image))
+    base = image.base
+    pages = dict(_nonzero_pages(base))
+    for page, lines in groupby(image.delta,
+                               lambda item: item[0] << LINE_SHIFT & -KEY_PAGE):
+        end = min(page + KEY_PAGE, len(base))
+        patched = bytearray(base[page:end])
+        for line, data in lines:
+            start = (line << LINE_SHIFT) - page
+            patched[start:start + CACHE_LINE_SIZE] = data
+        if patched.startswith(_ZEROS[:end - page]):
+            pages.pop(page, None)
+        else:
+            pages[page] = bytes(patched)
+    return (len(base),) + tuple(sorted(pages.items()))
 
 
 def fresh_target_factory(target):

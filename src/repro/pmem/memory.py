@@ -53,7 +53,6 @@ P-CLHT image carries at most about a hundred of its pool's 16,384 lines.
 
 import bisect
 import random
-import zlib
 
 from .cacheline import (
     CACHE_LINE_SIZE,
@@ -140,17 +139,14 @@ class CrashImage:
         delta: Sorted tuple of ``(line index, 64 bytes)``; each overrides
             that line of ``base``.
 
-    ``len()`` and ``bytes()`` give the full image; :meth:`crc32` is the
-    CRC32 of those full contents without building them, so digests of
-    a delta image and of its materialized bytes are equal.
+    ``len()`` and ``bytes()`` give the full image.
     """
 
-    __slots__ = ("base", "delta", "_crc")
+    __slots__ = ("base", "delta")
 
     def __init__(self, base, delta):
         self.base = base
         self.delta = delta
-        self._crc = None
 
     def __len__(self):
         return len(self.base)
@@ -204,21 +200,6 @@ class CrashImage:
             patched[lo - start:hi - start] = data[lo - addr:hi - addr]
             lines[line] = bytes(patched)
         return CrashImage(self.base, tuple(sorted(lines.items())))
-
-    def crc32(self):
-        """CRC32 of the full image, chained over base slices and delta
-        lines; computed once."""
-        if self._crc is None:
-            view = memoryview(self.base)
-            crc = 0
-            position = 0
-            for line, data in self.delta:
-                start = line << LINE_SHIFT
-                crc = zlib.crc32(view[position:start], crc)
-                crc = zlib.crc32(data, crc)
-                position = start + CACHE_LINE_SIZE
-            self._crc = zlib.crc32(view[position:], crc) & 0xFFFFFFFF
-        return self._crc
 
 
 class PersistentMemory:

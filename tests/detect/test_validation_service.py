@@ -6,6 +6,8 @@ hand-built cases and a seeded Hypothesis property over randomized crash
 images.
 """
 
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from repro.detect import (
     fresh_target_factory,
     image_digest,
 )
-from repro.detect.validation_service import make_validation_queue
+from repro.detect.validation_service import KEY_PAGE, make_validation_queue
 from repro.detect.records import (
     CandidateRecord,
     InconsistencyRecord,
@@ -145,6 +147,87 @@ class TestQueueDrain:
                 queue.enqueue(record)
             queue.drain()
             assert [r.verdict for r in records] == [v for _, v in specs]
+
+
+def image_from_key(key, size):
+    """The ``size``-byte image a key determines: zeros plus its pages."""
+    assert key[0] == size
+    image = bytearray(size)
+    pages = key[1:]
+    for offset, page in pages:
+        image[offset:offset + len(page)] = page
+    return bytes(image)
+
+
+#: Two values of the u64 at FLAG_ADDR whose 2 KiB images (lock word at
+#: LOCK_ADDR = 1, all else zero) have equal (CRC32, length). CRC32 is
+#: affine, so any pair whose xor is in the kernel of the word's
+#: position collides; this one came from a fixed-seed birthday search.
+FLAG_ADDR = 256
+COLLIDING_FLAGS = (0xa81102fe023f8b0e, 0x49094ec81a85b8b5)
+
+
+class _FlagRecoveryTarget:
+    """Recovery re-initializes the lock only when the flag is even."""
+
+    def recover(self, pool, view):
+        if view.load_u64(FLAG_ADDR) % 2 == 0:
+            view.ntstore_u64(LOCK_ADDR, 0)
+            view.sfence()
+        return self
+
+
+class TestExactImageKey:
+    @pytest.mark.parametrize("size", [576, 2112, 3 * KEY_PAGE + 576])
+    def test_key_determines_image_with_final_partial_page(self, size):
+        image = bytearray(size)
+        image[size - 100:] = bytes(range(1, 101))
+        key = image_digest(bytes(image))
+        assert image_from_key(key, size) == image
+        assert [offset for offset, _page in key[1:]] == [
+            size - size % KEY_PAGE]
+        assert image_digest(bytes(size)) == (size,)
+
+    @pytest.mark.parametrize("size", [576, 2112, 1 << 20])
+    def test_images_differing_in_last_byte_key_apart(self, size):
+        image = bytearray(size)
+        image[0] = 7
+        other = bytearray(image)
+        other[-1] = 1
+        assert image_digest(bytes(image)) != image_digest(bytes(other))
+        assert image_from_key(image_digest(bytes(other)), size) == other
+
+    def test_one_line_megabyte_image_keys_one_page(self):
+        image = bytearray(1 << 20)
+        image[0x52340:0x52380] = b"\x5a" * 64
+        key = image_digest(bytes(image))
+        assert key == (1 << 20, (0x52000, bytes(image[0x52000:0x53000])))
+
+    def test_crash_image_and_bytearray_key_as_bytes(self):
+        image = make_image(fill=3, lock=1)
+        data = bytes(image)
+        assert image_digest(image) == image_digest(data)
+        assert image_digest(bytearray(data)) == image_digest(data)
+
+    def test_crc_collision_replays_each_image(self):
+        images = []
+        for flag in COLLIDING_FLAGS:
+            pool = PmemPool("vs", POOL_SIZE)
+            pool.write_u64(LOCK_ADDR, 1)
+            pool.write_u64(FLAG_ADDR, flag)
+            pool.memory.persist_all()
+            images.append(bytes(pool.crash_image()))
+        assert images[0] != images[1]
+        assert len({(zlib.crc32(image), len(image)) for image in images}) == 1
+        validator = CountingValidator(_FlagRecoveryTarget)
+        queue = ValidationQueue(validator)
+        records = [make_sync_record(image) for image in images]
+        for record in records:
+            queue.enqueue(record)
+        queue.drain()
+        assert validator.replays == 2 and queue.cache_hits == 0
+        assert [r.verdict for r in records] == [Verdict.VALIDATED_FP,
+                                                Verdict.BUG]
 
 
 class TestPendingUpgrade:

@@ -59,10 +59,19 @@ class TestCrashImage:
         assert data[56:72] == bytes(4) + b"\xff" * 8 + b"\x01" * 4
         assert bytes(image)[60:64] == bytes(4)  # the original is untouched
 
-    def test_crc32_matches_materialized_bytes(self):
+    def test_digest_matches_materialized_bytes(self):
         image = CrashImage(bytes(range(256)) * 4,
                            ((0, b"a" * 64), (7, b"b" * 64), (15, b"c" * 64)))
         assert image_digest(image) == image_digest(bytes(image))
+
+    def test_delta_zeros_over_nonzero_base_key_as_bytes(self):
+        # The key is of the contents: a delta that zeroes the base's one
+        # non-zero line leaves an all-zero image, whatever the base.
+        base = bytearray(16384)
+        base[8192:8256] = b"\xab" * 64
+        image = CrashImage(bytes(base), ((128, bytes(64)),))
+        assert image_digest(image) == image_digest(bytes(image))
+        assert image_digest(image) == (16384,)
 
     def test_checkpointed_memory_shares_snapshot_bytes(self):
         mem = PersistentMemory(POOL)
@@ -187,6 +196,24 @@ def test_property_read_equals_materialized_slice(delta, addr, size):
                        tuple(sorted(delta.items())))
     size = min(size, POOL - addr)
     assert image.read(addr, size) == bytes(image)[addr:addr + size]
+
+
+#: Three 4 KiB key pages and a partial fourth.
+KEY_POOL = 3 * 4096 + 576
+SPARSE_LINES = st.dictionaries(
+    st.integers(0, KEY_POOL // 64 - 1),
+    st.one_of(st.just(bytes(64)), st.binary(min_size=64, max_size=64)),
+    max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SPARSE_LINES, SPARSE_LINES)
+def test_property_delta_image_keys_as_its_bytes(base_lines, delta):
+    base = bytearray(KEY_POOL)
+    for line, data in base_lines.items():
+        base[line * 64:line * 64 + 64] = data
+    image = CrashImage(bytes(base), tuple(sorted(delta.items())))
+    assert image_digest(image) == image_digest(bytes(image))
 
 
 @pytest.mark.parametrize("addr,size", [(POOL - 4, 8), (-8, 8), (0, -1)])
