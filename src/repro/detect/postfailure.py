@@ -132,8 +132,9 @@ class ReplayResult:
     sync-variable reads), and the ``recorder`` whose coalesced write
     intervals answer side-effect coverage queries. ``recovered`` shares
     the input image's base and holds the lines the replay wrote, so a
-    cached result costs what recovery touched, not the pool size; the
-    pool and target instance are dropped when the replay returns. A
+    cached result costs what recovery touched, not the pool size; it
+    keeps neither the pool (which a drain resets for its next replay)
+    nor the target instance. A
     failed replay carries ``error`` (formatted exception) instead;
     ``budget_exceeded`` distinguishes a replay the budget aborted from
     one that genuinely crashed.
@@ -178,7 +179,8 @@ class PostFailureValidator:
         tracer: Optional :class:`~repro.obs.tracer.Tracer`; every verdict
             is emitted as a typed ``verdict`` event.
         metrics: Optional :class:`~repro.obs.metrics.Metrics`; verdicts
-            count into ``validate.verdict.<verdict>``.
+            count into ``validate.verdict.<verdict>`` and every pool a
+            replay builds into ``validate.pool_builds``.
         replay_max_steps / replay_max_seconds: Per-replay fault budget
             (see :class:`_ReplayBudget`).
     """
@@ -194,14 +196,52 @@ class PostFailureValidator:
         self.metrics = metrics
         self.replay_max_steps = replay_max_steps
         self.replay_max_seconds = replay_max_seconds
+        self._builds = None if metrics is None \
+            else metrics.counter("validate.pool_builds")
+        #: the pool replays reuse until :meth:`release`, and the image
+        #: object :meth:`load` last reset it to (None once replayed).
+        self._pool = None
+        self._loaded = None
 
     # ------------------------------------------------------------------
     # replay (fault-contained; no verdict logic)
 
+    def _build(self, image, pages=None):
+        if self._builds is not None:
+            self._builds.inc()
+        return PmemPool.from_image("post-failure", image, pages)
+
+    def load(self, image, key):
+        """Make the reused pool hold ``image`` for the next :meth:`replay`
+        of that same object.
+
+        ``key`` is the image's :func:`~repro.detect.validation_service.
+        image_digest`; its pages are written, so the image is not scanned
+        again. The pool is reset in place, or built when there is none
+        yet or it cannot reset (another size, or a recovery voided its
+        journal).
+        """
+        pages = key[1:]
+        if self._pool is None or not self._pool.reset(image, pages):
+            self._pool = self._build(image, pages)
+        self._loaded = image
+
+    def release(self):
+        """Drop the reused pool; the next :meth:`load` builds one."""
+        self._pool = self._loaded = None
+
     def _recover(self, image):
         """Run recovery once on ``image``; returns ``(pool, target,
-        recorder)``."""
-        pool = PmemPool.from_image("post-failure", image)
+        recorder)``.
+
+        Recovery runs on the loaded pool when it holds this image and on
+        a fresh pool otherwise; a pool recovery raised in is dropped.
+        """
+        if self._loaded is image:
+            pool = self._pool
+            self._loaded = None
+        else:
+            pool = self._build(image)
         recorder = WriteRecorder()
         budget = _ReplayBudget(self.replay_max_steps,
                                self.replay_max_seconds)
@@ -210,7 +250,12 @@ class PostFailureValidator:
         ctx.add_observer(budget)
         view = PmView(pool, None, ctx)
         target = self.target_factory()
-        target.recover(pool, view)
+        try:
+            target.recover(pool, view)
+        except BaseException:
+            if pool is self._pool:
+                self._pool = None
+            raise
         return pool, target, recorder
 
     def _contained(self, image):

@@ -25,6 +25,14 @@ crash images* instead of records:
   keeps an index of imageless records by dedup key; when a duplicate
   later carries an image, :meth:`ValidationQueue.offer_image` attaches
   it and schedules re-validation.
+* **One pool per drain** — every cache miss of one :meth:`~
+  ValidationQueue.drain` replays on the same pool: the validator resets
+  it to the next image from that image's key (zeroing the pages the
+  previous image held and the lines recovery wrote, then writing the
+  key's pages) instead of copying a pool-sized image into two new
+  buffers, and drops it when the drain ends. A pool a replay raised in
+  is never reused; the uncached queue (``cache=False``) and the hang
+  probe's private replay build a fresh pool each.
 * **Fault containment** lives in
   :meth:`~repro.detect.postfailure.PostFailureValidator.replay`: a
   step/time budget per replay, one retry on genuine crashes, and the
@@ -153,7 +161,8 @@ class ValidationQueue:
         metrics: Optional metrics registry; maintains
             ``validate.cache.hits`` / ``validate.cache.misses`` /
             ``validate.upgrades`` counters and the
-            ``validate.queue.depth`` gauge.
+            ``validate.queue.depth`` gauge (the validator counts
+            ``validate.pool_builds``).
         cache: Disable to replay every record's image individually
             (the uncached reference the cache must agree with).
     """
@@ -260,6 +269,7 @@ class ValidationQueue:
             self.cache_misses += 1
             if self._miss_counter is not None:
                 self._miss_counter.inc()
+            self.validator.load(image, digest)
             replay = self.validator.replay(image)
             self._cache[digest] = replay
         else:
@@ -272,11 +282,16 @@ class ValidationQueue:
         """Validate every queued record in arrival order; returns the
         number of records validated."""
         drained = 0
-        while self._queue:
-            record = self._queue.popleft()
-            self._queued_ids.discard(id(record))
-            self.validator.validate(record, replay=self._replay_for(record))
-            drained += 1
+        try:
+            while self._queue:
+                record = self._queue.popleft()
+                self._queued_ids.discard(id(record))
+                self.validator.validate(record,
+                                        replay=self._replay_for(record))
+                drained += 1
+        finally:
+            # The replay pool lives for one drain, not between drains.
+            self.validator.release()
         self.validated += drained
         if self._depth_gauge is not None:
             self._depth_gauge.set(0)

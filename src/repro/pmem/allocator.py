@@ -22,6 +22,36 @@ _U64 = struct.Struct("<Q")
 #: Each durable registry slot: (offset, size); size == 0 means free slot.
 _SLOT = struct.Struct("<QQ")
 _SLOT_BYTES = _SLOT.size
+#: The zero tail is skipped this many bytes per comparison.
+_TAIL_CHUNK = 4096
+_ZEROS = memoryview(bytes(_TAIL_CHUNK))
+
+
+def _used_length(data):
+    """Length of ``data`` without its all-zero tail.
+
+    Whole zero chunks are skipped from the end with one ``startswith``
+    against zeros each (a ``memcmp``, no slice copy); the last non-zero
+    byte of the first chunk that is not all zero is then found by a
+    binary search of such comparisons.
+    """
+    end = len(data)
+    while end:
+        start = max(end - _TAIL_CHUNK, 0)
+        if not data.startswith(_ZEROS[:end - start], start):
+            break
+        end = start
+    else:
+        return 0
+    # data[low:] holds a non-zero byte and data[high:] is all zero.
+    low, high = start, end
+    while high - low > 1:
+        middle = (low + high) // 2
+        if data.startswith(_ZEROS[:end - middle], middle):
+            high = middle
+        else:
+            low = middle
+    return high
 
 
 def registry_entries(data):
@@ -31,7 +61,7 @@ def registry_entries(data):
     Slots are claimed lowest-first, so a registry is mostly a zero tail;
     the all-zero slots after the last nonzero byte are never decoded.
     """
-    end = -(-len(data.rstrip(b"\0")) // _SLOT_BYTES) * _SLOT_BYTES
+    end = -(-_used_length(data) // _SLOT_BYTES) * _SLOT_BYTES
     return [(slot, off, size)
             for slot, (off, size) in enumerate(_SLOT.iter_unpack(data[:end]))
             if size]

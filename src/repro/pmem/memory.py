@@ -40,6 +40,9 @@ Two auxiliary indexes keep the hot paths O(touched lines):
   last reset to copies only those lines back instead of both full pools,
   and a memory built from an image reports its volatile view as a
   :class:`CrashImage` over that image's base plus the journaled lines.
+  A memory built from an image's non-zero pages (or from nothing) can
+  :meth:`~PersistentMemory.reset` to another image by zeroing those
+  pages and the journaled lines instead of allocating new views.
 
 Crash images
 ------------
@@ -154,7 +157,18 @@ class CrashImage:
     def __bytes__(self):
         if not self.delta:
             return bytes(self.base)
-        return bytes(self.to_bytearray())
+        # One copy: the base between delta lines, as memoryview slices,
+        # joined with the lines.
+        base = memoryview(self.base)
+        parts = []
+        position = 0
+        for line, data in self.delta:
+            start = line << LINE_SHIFT
+            parts.append(base[position:start])
+            parts.append(data)
+            position = start + CACHE_LINE_SIZE
+        parts.append(base[position:])
+        return b"".join(parts)
 
     def __repr__(self):
         return "<CrashImage %d bytes, %d delta lines>" % (len(self.base),
@@ -222,14 +236,48 @@ class PersistentMemory:
             from, everything persisted. A :class:`CrashImage`'s delta
             lines start journaled, so :meth:`volatile_image` can share
             its base.
+        pages: Optional ``(offset, bytes)`` spans holding every non-zero
+            byte of ``image`` (an :func:`~repro.detect.
+            validation_service.image_digest` key without its length).
+            Both views are then zeroed buffers with these spans written,
+            and the memory can later :meth:`reset` to another image.
     """
 
     def __init__(self, size, pending_persists_on_crash=False, eadr=False,
-                 image=None):
+                 image=None, pages=None):
         size = ((size + CACHE_LINE_SIZE - 1) // CACHE_LINE_SIZE) * CACHE_LINE_SIZE
         self.size = size
         self.pending_persists_on_crash = pending_persists_on_crash
         self.eadr = eadr
+        if image is not None and len(image) != size:
+            raise ValueError("image of %d bytes for a %d-byte memory"
+                             % (len(image), size))
+        if image is None or pages is not None:
+            self._volatile = bytearray(size)
+            self._persisted = bytearray(size)
+            self._start(image, pages or ())
+        else:
+            if isinstance(image, CrashImage):
+                self._volatile = image.to_bytearray()
+            else:
+                self._volatile = bytearray(image)
+            self._persisted = bytearray(self._volatile)
+            self._start(image, ())
+            self._held = None
+
+    def _start(self, image, pages):
+        """Write ``pages`` into both (zero) views and set the metadata of
+        a memory freshly built from ``image``."""
+        volatile = self._volatile
+        persisted = self._persisted
+        for offset, page in pages:
+            end = offset + len(page)
+            volatile[offset:end] = page
+            persisted[offset:end] = page
+        #: ``(offset, length)`` spans that may hold non-zero bytes
+        #: outside the journal; None once unknown (a memory copied from
+        #: an image, or after persist_all, snapshot or restore).
+        self._held = tuple((offset, len(page)) for offset, page in pages)
         #: lines whose volatile or persisted bytes changed since the last
         #: snapshot/restore; drives incremental checkpoint restores.
         self._journal = set()
@@ -237,21 +285,11 @@ class PersistentMemory:
         #: immutable bytes the volatile view equals outside the journal
         #: (set only for a memory built from an image).
         self._image_base = None
-        if image is None:
-            self._volatile = bytearray(size)
-        else:
-            if len(image) != size:
-                raise ValueError("image of %d bytes for a %d-byte memory"
-                                 % (len(image), size))
-            if isinstance(image, CrashImage):
-                self._volatile = image.to_bytearray()
-                self._journal.update(line for line, _data in image.delta)
-                self._image_base = image.base
-            else:
-                self._volatile = bytearray(image)
-                if isinstance(image, bytes):
-                    self._image_base = image
-        self._persisted = bytearray(self._volatile)
+        if isinstance(image, CrashImage):
+            self._journal.update(line for line, _data in image.delta)
+            self._image_base = image.base
+        elif isinstance(image, bytes):
+            self._image_base = image
         #: line index -> [LineState, word mask, per-word StoreRecords];
         #: entry exists iff mask != 0 (otherwise the line is CLEAN).
         self._lines = {}
@@ -262,6 +300,34 @@ class PersistentMemory:
         #: the snapshot this memory currently diverges from (if any).
         self._base = None
         self._seq = 0
+
+    def reset(self, image, pages):
+        """Become ``PersistentMemory(self.size, image=image)`` in place.
+
+        Only the spans the previous image held and the journaled lines
+        are zeroed, then ``pages`` (as for the constructor) are written:
+        the cost follows the pages of both images and the lines written
+        since, not the pool size. Returns False, changing nothing, when
+        ``image`` has another size or the memory no longer knows which
+        of its bytes may be non-zero (it was copied from an image, or
+        :meth:`persist_all`, :meth:`snapshot` or :meth:`restore` voided
+        its journal).
+        """
+        if self._held is None or len(image) != self.size:
+            return False
+        volatile = self._volatile
+        persisted = self._persisted
+        for offset, length in self._held:
+            zeros = bytes(length)
+            volatile[offset:offset + length] = zeros
+            persisted[offset:offset + length] = zeros
+        zeros = bytes(CACHE_LINE_SIZE)
+        for line in self._journal:
+            start = line << LINE_SHIFT
+            volatile[start:start + CACHE_LINE_SIZE] = zeros
+            persisted[start:start + CACHE_LINE_SIZE] = zeros
+        self._start(image, pages)
+        return True
 
     # ------------------------------------------------------------------
     # bounds helpers
@@ -417,6 +483,7 @@ class PersistentMemory:
         self._pending_by_thread.clear()
         self._pending_tids.clear()
         self._journal_full = True
+        self._held = None
 
     # ------------------------------------------------------------------
     # persistency queries (the checkers' view)
@@ -587,6 +654,7 @@ class PersistentMemory:
         self._journal = set()
         self._journal_full = False
         self._image_base = None
+        self._held = None
         self._base = snap
         return snap
 
@@ -623,3 +691,4 @@ class PersistentMemory:
                               for line, tids in snap.pending_tids.items()}
         self._seq = snap.seq
         self._image_base = None
+        self._held = None

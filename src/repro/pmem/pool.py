@@ -26,18 +26,19 @@ class PmemPool:
         name: Pool file name (purely informational in the simulation).
         size: Pool size in bytes.
         pending_persists_on_crash: Forwarded to :class:`PersistentMemory`.
-        image: Initial contents, forwarded to :class:`PersistentMemory`;
-            use :meth:`from_image`, which checks its length.
+        image / pages: Initial contents and their non-zero pages,
+            forwarded to :class:`PersistentMemory`; use
+            :meth:`from_image`, which checks the length.
     """
 
     def __init__(self, name, size, pending_persists_on_crash=False,
-                 eadr=False, image=None):
+                 eadr=False, image=None, pages=None):
         if size <= 0:
             raise PoolError("pool %r must have positive size" % name)
         self.name = name
         self.memory = PersistentMemory(
             size, pending_persists_on_crash=pending_persists_on_crash,
-            eadr=eadr, image=image,
+            eadr=eadr, image=image, pages=pages,
         )
 
     @property
@@ -45,10 +46,12 @@ class PmemPool:
         return self.memory.size
 
     @classmethod
-    def from_image(cls, name, image):
+    def from_image(cls, name, image, pages=None):
         """Rebuild a pool from a crash image (a
         :class:`~repro.pmem.memory.CrashImage` or plain bytes); everything
-        starts persisted. Each view is one copy of the image.
+        starts persisted. Each view is one copy of the image, or, given
+        the image's non-zero ``pages``, zeroed with those pages written,
+        so the pool can :meth:`reset` to another image later.
 
         Raises:
             PoolError: If the image length is not a positive multiple of
@@ -59,7 +62,7 @@ class PmemPool:
             raise PoolError("crash image for pool %r must be a positive "
                             "multiple of %d bytes, got %d"
                             % (name, CACHE_LINE_SIZE, size))
-        return cls(name, size, image=image)
+        return cls(name, size, image=image, pages=pages)
 
     # ------------------------------------------------------------------
     # raw word accessors (no instrumentation, no persistency effects for
@@ -108,6 +111,12 @@ class PmemPool:
         """The :class:`~repro.pmem.memory.CrashImage` PM would hold after
         a crash now."""
         return self.memory.crash_image(evict_fraction, rng)
+
+    def reset(self, image, pages):
+        """Become a pool freshly built from ``image`` by :meth:`from_image`
+        with its ``pages``; False, changing nothing, when the memory
+        cannot (see :meth:`~repro.pmem.memory.PersistentMemory.reset`)."""
+        return self.memory.reset(image, pages)
 
     def checkpoint(self):
         """Deep snapshot for in-memory checkpointing (§5 fork-server analog)."""

@@ -26,6 +26,7 @@ from repro.detect.records import (
     InconsistencyRecord,
     SyncInconsistencyRecord,
 )
+from repro.obs.metrics import Metrics
 from repro.pmem import PmemPool
 from repro.targets import make_target, target_names
 
@@ -358,6 +359,90 @@ class TestFaultContainment:
         assert queue.drain() == 3
         assert all(r.verdict is Verdict.BUG for r in records)
         _FlakyRecoveryTarget.failures_left = 0
+
+
+class _MixedValidator(PostFailureValidator):
+    """Recovers each image with the target that produced it (found by
+    its key) and logs ``(key, pool)`` per recovery; the recovery of
+    ``raising`` writes, then raises."""
+
+    def __init__(self, owners, raising, metrics=None):
+        super().__init__(self._target, metrics=metrics)
+        self.owners = owners
+        self.raising = raising
+        self.recoveries = []
+        self._key = None
+
+    def replay(self, image):
+        self._key = image_digest(image)
+        return super().replay(image)
+
+    def _target(self):
+        validator, key = self, self._key
+
+        class Dispatch:
+            def recover(self, pool, view):
+                validator.recoveries.append((key, pool))
+                if key == validator.raising:
+                    view.store_u64(0, 0xdead)
+                    raise RuntimeError("recovery raised halfway")
+                return make_target(validator.owners[key]).recover(pool,
+                                                                  view)
+        return Dispatch()
+
+
+@pytest.fixture(scope="module")
+def mixed_records():
+    """P-CLHT and txkv records with crash images, interleaved."""
+    by_target = []
+    for name in ("P-CLHT", "txkv"):
+        config = PMRaceConfig(max_campaigns=6, base_seed=7, validate=False)
+        result = PMRace(make_target(name), config).run()
+        by_target.append([(name, record) for record in
+                          list(result.inconsistencies)
+                          + list(result.sync_inconsistencies)
+                          if record.crash_image is not None])
+    mixed = [pair for pairs in zip(*by_target) for pair in pairs]
+    assert {name for name, _record in mixed} == {"P-CLHT", "txkv"}
+    return mixed
+
+
+class TestDrainPoolReuse:
+    def drain(self, mixed, raising, cache):
+        owners = {image_digest(record.crash_image): name
+                  for name, record in mixed}
+        metrics = Metrics()
+        validator = _MixedValidator(owners, raising, metrics=metrics)
+        queue = ValidationQueue(validator, cache=cache)
+        for _name, record in mixed:
+            record.verdict, record.note = Verdict.PENDING, ""
+            queue.enqueue(record)
+        queue.drain()
+        judged = [(record.verdict, record.note) for _name, record in mixed]
+        return judged, validator, metrics.value("validate.pool_builds")
+
+    def test_one_pool_per_drain_matches_uncached(self, mixed_records):
+        keys = list(dict.fromkeys(image_digest(record.crash_image)
+                                  for _name, record in mixed_records))
+        assert len(keys) >= 4
+        raising = keys[len(keys) // 2]
+        cached, validator, builds = self.drain(mixed_records, raising, True)
+        plain, _plain, plain_builds = self.drain(mixed_records, raising,
+                                                 False)
+        assert cached == plain
+        assert any(note.startswith("recovery failed: RuntimeError")
+                   for _verdict, note in cached)
+        # One recovery per unique image plus the raising one's retry.
+        assert len(validator.recoveries) == len(keys) + 1
+        assert plain_builds == len(plain) + 1  # a fresh pool per replay
+        # The first load builds; the raising replay's pool and its retry's
+        # fresh pool are dropped, so the next load builds once more.
+        assert builds == 3
+        for index, (key, pool) in enumerate(validator.recoveries):
+            if key == raising:
+                assert all(later is not pool for _key, later
+                           in validator.recoveries[index + 1:])
+        assert validator._pool is None  # dropped when the drain ended
 
 
 class _ProbeBase:

@@ -1,5 +1,7 @@
 """Persistent allocator tests."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from repro.pmem import (
     PersistentAllocator,
     PmemPool,
 )
+from repro.pmem.allocator import registry_entries
 
 
 @pytest.fixture
@@ -123,6 +126,57 @@ class TestRegistry:
         allocator.free(a)
         allocator.alloc(64)
         allocator.alloc(64)  # slot freed by the free above
+
+
+def registry(slots, used):
+    """A registry of ``slots`` 16-byte slots with ``used`` slot ->
+    ``(offset, size)`` written and every other slot zero."""
+    data = bytearray(16 * slots)
+    for slot, (off, size) in used.items():
+        data[16 * slot:16 * slot + 16] = struct.pack("<QQ", off, size)
+    return bytes(data)
+
+
+def rstrip_entries(data):
+    """The decoder before the zero tail was found by comparisons."""
+    end = -(-len(data.rstrip(b"\0")) // 16) * 16
+    return [(slot, off, size) for slot, (off, size)
+            in enumerate(struct.iter_unpack("<QQ", data[:end])) if size]
+
+
+class TestRegistryDecode:
+    def test_all_zero_registry(self):
+        assert registry_entries(registry(1024, {})) == []
+        assert registry_entries(b"") == []
+
+    def test_nonzero_last_byte(self):
+        data = registry(1024, {1023: (4096, 1 << 56)})
+        assert data[-1] == 1
+        assert registry_entries(data) == [(1023, 4096, 1 << 56)]
+
+    def test_free_slot_between_used_slots(self):
+        data = registry(1024, {0: (4096, 64), 1: (8192, 0),
+                               2: (12288, 128)})
+        assert registry_entries(data) == [(0, 4096, 64), (2, 12288, 128)]
+
+    def test_offset_only_slot_past_chunk_edge(self):
+        # A freed slot keeps its offset: the tail ends there, 16 bytes
+        # into the second 4 KiB chunk, and the slot decodes as free.
+        data = registry(1024, {0: (4096, 64), 256: (8192, 0)})
+        assert registry_entries(data) == [(0, 4096, 64)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 1100),
+       st.lists(st.tuples(st.integers(0, 1099), st.integers(0, 2 ** 64 - 1),
+                          st.integers(0, 2 ** 64 - 1)), max_size=6),
+       st.booleans())
+def test_property_registry_decode_matches_rstrip(slots, writes, mutable):
+    data = registry(slots, {slot: (off, size) for slot, off, size in writes
+                            if slot < slots})
+    if mutable:
+        data = bytearray(data)
+    assert registry_entries(data) == rstrip_entries(bytes(data))
 
 
 class TestLeaksAndSnapshots:

@@ -227,6 +227,17 @@ def test_bytes_of_image_without_delta_is_its_base():
     assert bytes(CrashImage(base, ())) is base
 
 
+@pytest.mark.parametrize("lines", [(), (0,), (POOL // 64 - 1,),
+                                   (0, 3, POOL // 64 - 1)])
+def test_bytes_equals_materialized_bytearray(lines):
+    image = CrashImage(bytes(range(256)) * (POOL // 256),
+                       tuple((line, bytes([line + 1]) * 64)
+                             for line in lines))
+    data = bytes(image)
+    assert type(data) is bytes
+    assert data == image.to_bytearray()
+
+
 REBUILD_OPS = st.lists(st.tuples(
     st.sampled_from(("store", "ntstore", "clwb", "sfence", "persist_all",
                      "snapshot", "restore")),
